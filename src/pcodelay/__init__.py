@@ -8,13 +8,9 @@ Layers, bottom up:
     config    JSON run configurations
     cli       command-line front end (also exposed as `python -m pcodelay`)
 
-The per-event inner loop runs in a compiled extension when available and in
-a numpy fallback otherwise; see kernel_in_use / set_kernel.
+The per-event inner loop is one numpy kernel (_kernel.step_once).
 """
 
-from ._kernel import active_name as kernel_in_use
-from ._kernel import available as available_kernels
-from ._kernel import set_active as set_kernel
 from .analysis import (
     AuditReport,
     ClusterPartition,
@@ -89,7 +85,6 @@ __all__ = [
     "TwoCliqueState",
     "UniformInit",
     "audit_run",
-    "available_kernels",
     "cluster_partition",
     "curve_slope",
     "desync_trial",
@@ -98,14 +93,12 @@ __all__ = [
     "is_completely_synchronized",
     "iterate_return_map",
     "jump",
-    "kernel_in_use",
     "large_gap_branch",
     "load_config",
     "matched_phase_pair",
     "parse_config",
     "phase_spread",
     "sample_phases",
-    "set_kernel",
     "small_gap_branch",
     "stable_cluster_count",
     "stroboscopic_run",

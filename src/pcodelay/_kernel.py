@@ -1,48 +1,61 @@
-"""Event-step kernel selection.
+"""Event-step kernel (numpy): the hot loop of NetworkState.step.
 
-The compiled extension is preferred when importable; the numpy fallback is
-used otherwise.  Set PCODELAY_PURE=1 before import to force the fallback,
-or call set_active() at runtime (used by the benchmark and the equivalence
-tests).  Both kernels implement the contract documented in _pykernel.py.
+One call advances the network to the next grouped event: drift every phase
+to the event instant, apply all pulse arrivals within tol_time of it, detect
+threshold crossings, reset the firers and append their delayed pulses to the
+queue.
+
+The queue is a pair of parallel arrays (pipe_t, pipe_src) used as a FIFO
+window [head, tail).  It stays time-sorted without explicit sorting: every
+new arrival is scheduled at event_time + tau, which is no earlier than any
+pending entry because pending arrivals all lie within tau of the current
+time.  The caller guarantees capacity for n appends before each call.
+
+Contract:
+  - phases are mutated in place and stay in [0, 1];
+  - an oscillator never receives its own pulse (m_i = arrivals from others);
+  - a receiver pushed to or past threshold is set to exactly 1.0 so the
+    firing scan picks it up in the same event.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pykernel
-
-_COMPILED = None
-if os.environ.get("PCODELAY_PURE") != "1":
-    try:
-        from . import _speedups as _COMPILED  # type: ignore[no-redef]
-    except ImportError:
-        _COMPILED = None
-
-_ACTIVE = _pykernel if _COMPILED is None else _COMPILED
+import numpy as np
 
 
-def available() -> tuple[str, ...]:
-    """Names of the kernels importable in this installation."""
-    return ("compiled", "pure") if _COMPILED is not None else ("pure",)
+def step_once(phases, pipe_t, pipe_src, head, tail, now,
+              big_i, log_ratio, eps, tau, tol_time, tol_phase):
+    """Advance to the next event; return (t_event, new_head, new_tail, fired)."""
+    n = phases.shape[0]
+    t_event = now + (1.0 - float(phases.max()))
+    if head < tail and pipe_t[head] < t_event:
+        t_event = float(pipe_t[head])
+    dt = t_event - now
+    if dt < 0.0:
+        raise RuntimeError("event time moved backwards; queue state is corrupt")
+    if dt > 0.0:
+        phases += dt
+        np.minimum(phases, 1.0, out=phases)
 
+    limit = t_event + tol_time
+    new_head = head
+    while new_head < tail and pipe_t[new_head] <= limit:
+        new_head += 1
+    k = new_head - head
+    if k > 0:
+        own = np.bincount(pipe_src[head:new_head], minlength=n)
+        m = k - own
+        y = big_i * -np.expm1(log_ratio * phases) + m * eps
+        saturated = y >= 1.0
+        np.minimum(y, 1.0, out=y)
+        jumped = np.where(saturated, 1.0, np.log1p(-y / big_i) / log_ratio)
+        np.copyto(phases, jumped, where=m > 0)
 
-def active_name() -> str:
-    return "pure" if _ACTIVE is _pykernel else "compiled"
-
-
-def set_active(name: str) -> None:
-    """Switch kernels at runtime; affects steps taken after the call."""
-    global _ACTIVE
-    if name == "pure":
-        _ACTIVE = _pykernel
-    elif name == "compiled":
-        if _COMPILED is None:
-            raise RuntimeError("compiled kernel is not available in this installation")
-        _ACTIVE = _COMPILED
-    else:
-        raise ValueError(f"unknown kernel {name!r}; choose 'pure' or 'compiled'")
-
-
-def step_once(*args):
-    return _ACTIVE.step_once(*args)
+    fired = np.nonzero(phases >= 1.0 - tol_phase)[0]
+    nf = fired.shape[0]
+    if nf > 0:
+        phases[fired] = 0.0
+        pipe_t[tail:tail + nf] = t_event + tau
+        pipe_src[tail:tail + nf] = fired
+        tail += nf
+    return t_event, new_head, tail, fired

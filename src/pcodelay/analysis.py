@@ -41,6 +41,7 @@ __all__ = [
     "cluster_partition",
     "stroboscopic_run",
     "audit_run",
+    "min_interfire_gap",
     "small_gap_branch",
     "large_gap_branch",
     "two_clique_map",
@@ -285,6 +286,14 @@ class AuditReport:
         return self.gap_bound_ok and self.pending_ok
 
 
+def min_interfire_gap(fire_log: Sequence[Sequence[float]]) -> float:
+    """Smallest gap between consecutive firings of one oscillator (+inf if none)."""
+    return min(
+        (b - a for times in fire_log for a, b in zip(times, times[1:])),
+        default=float("inf"),
+    )
+
+
 def audit_run(
     reports: Sequence[StepReport],
     fire_log: Sequence[Sequence[float]],
@@ -325,18 +334,12 @@ def audit_run(
                     f"oscillator {i} fired at t={rep.event_time} in the same event "
                     "its own pulse arrived"
                 )
-        for spike in rep.spikes_scheduled:
-            pend[spike.source] += 1
-            if pend[spike.source] > max_pend:
-                max_pend = pend[spike.source]
+            # the firer's own pulse, due at event_time + tau
+            pend[i] += 1
+            if pend[i] > max_pend:
+                max_pend = pend[i]
 
-    min_gap = float("inf")
-    for times in fire_log:
-        for a, b in zip(times, times[1:]):
-            gap = b - a
-            if gap < min_gap:
-                min_gap = gap
-
+    min_gap = min_interfire_gap(fire_log)
     gap_ok = min_gap > 2.0 * tau
     pending_ok = max_pend <= 1 and not violations
     return AuditReport(

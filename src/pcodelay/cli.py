@@ -23,7 +23,6 @@ import json
 import sys
 from typing import Iterable, Sequence, TextIO
 
-from . import _kernel
 from .analysis import (
     InfeasibleScenarioError,
     StructuralError,
@@ -34,6 +33,7 @@ from .analysis import (
     is_completely_synchronized,
     iterate_return_map,
     matched_phase_pair,
+    min_interfire_gap,
     phase_spread,
     stable_cluster_count,
     stroboscopic_run,
@@ -168,17 +168,8 @@ def cmd_validate(args) -> int:
         "a2_value": report.a2_value,
         "a2_holds": report.a2_holds,
         "margin": report.margin,
-        "kernel": _kernel.active_name(),
     })
     return EXIT_OK
-
-
-def _min_gap(fire_log: Sequence[Sequence[float]]) -> float:
-    gap = float("inf")
-    for times in fire_log:
-        for a, b in zip(times, times[1:]):
-            gap = min(gap, b - a)
-    return gap
 
 
 def cmd_simulate(args) -> int:
@@ -222,7 +213,7 @@ def cmd_simulate(args) -> int:
             net, tol_phase=cfg.cluster_tol
         ).n_clusters,
         "final_spread": phase_spread(net),
-        "min_interfire_gap": _finite_or_none(_min_gap(net.fire_log)),
+        "min_interfire_gap": _finite_or_none(min_interfire_gap(net.fire_log)),
         "a2_value": report.a2_value,
     })
     return EXIT_OK
@@ -288,7 +279,7 @@ def cmd_strobe(args) -> int:
                 counts, window=min(_STABLE_WINDOW, len(counts))
             ),
             "min_frame_spread": min(spreads) if spreads else None,
-            "min_interfire_gap": _finite_or_none(_min_gap(net.fire_log)),
+            "min_interfire_gap": _finite_or_none(min_interfire_gap(net.fire_log)),
             "a2_value": report.a2_value,
         },
         stream=sys.stderr if to_stdout else sys.stdout,

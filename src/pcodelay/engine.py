@@ -18,8 +18,8 @@ firing share one bit pattern.  Runs are deterministic: identical params,
 initial phases and injected pulses give bit-identical trajectories, which
 the command-line layer turns into byte-identical output files.
 
-The per-event work lives in a kernel selected at import time (_kernel):
-a compiled extension when available, a numpy fallback otherwise.
+The per-event work lives in the numpy kernel _kernel.step_once; step()
+wraps it and raises RuntimeError on an event that makes no progress.
 """
 
 from __future__ import annotations
@@ -75,25 +75,23 @@ class StepReport:
 
     arrival_sources lists the source of every pulse consumed at this event
     (duplicates possible only if duplicates were injected); fired lists the
-    oscillators that reached threshold, in index order; spikes_scheduled are
-    their outgoing pulses, due at exactly event_time + tau.
+    oscillators that reached threshold, in index order.  Each firer's
+    outgoing pulse is due at exactly event_time + tau.
     """
 
     event_time: float
     arrival_sources: tuple[int, ...]
     fired: tuple[int, ...]
-    spikes_scheduled: tuple[PendingSpike, ...]
-    n_oscillators: int
 
-    def arrivals_per_receiver(self) -> dict[int, int]:
-        """Pulse count per receiving oscillator, omitting zero counts."""
+    def arrivals_per_receiver(self, n: int) -> dict[int, int]:
+        """Pulse count per receiver among n oscillators, omitting zero counts."""
         k = len(self.arrival_sources)
         if k == 0:
             return {}
         own = Counter(self.arrival_sources)
         return {
             j: k - own.get(j, 0)
-            for j in range(self.n_oscillators)
+            for j in range(n)
             if k - own.get(j, 0) > 0
         }
 
@@ -141,7 +139,6 @@ class NetworkState:
         self._pipe_src = np.empty(cap, dtype=np.int64)
         self._head = 0
         self._tail = 0
-        self._scratch = np.zeros(n, dtype=np.int64)
         self._big_i = params.curve.i
         self._log_ratio = math.log1p(-1.0 / self._big_i)
         self._fire_log_limit = fire_log_limit
@@ -204,7 +201,6 @@ class NetworkState:
         dup._pipe_src = self._pipe_src.copy()
         dup._head = self._head
         dup._tail = self._tail
-        dup._scratch = self._scratch.copy()
         dup._big_i = self._big_i
         dup._log_ratio = self._log_ratio
         dup._fire_log_limit = self._fire_log_limit
@@ -227,33 +223,39 @@ class NetworkState:
         return t
 
     def step(self) -> StepReport:
-        """Advance to the next event and process it."""
+        """Advance to the next event and process it.
+
+        Raises RuntimeError when the event consumes no pulse and fires
+        nobody.  That happens only when the absolute clock has grown so
+        large that drifting to the threshold rounds short of it; stepping
+        again would repeat the same empty event forever.
+        """
         self._ensure_capacity()
         head0 = self._head
         coupling = self.params.coupling
         t_event, new_head, new_tail, fired = _kernel.step_once(
-            self._phases, self._pipe_t, self._pipe_src, self._scratch,
+            self._phases, self._pipe_t, self._pipe_src,
             self._head, self._tail, self._now,
             self._big_i, self._log_ratio,
             coupling.epsilon, coupling.tau,
             self.params.tol_time, self.params.tol_phase,
         )
-        arrival_sources = tuple(int(s) for s in self._pipe_src[head0:new_head])
-        fired_ix = tuple(int(i) for i in fired)
         self._head = new_head
         self._tail = new_tail
         self._now = t_event
-        scheduled = tuple(
-            PendingSpike(t_event + coupling.tau, i) for i in fired_ix
-        )
+        if new_head == head0 and fired.shape[0] == 0:
+            raise RuntimeError(
+                f"event at t={t_event!r} consumed no pulse and fired nobody; "
+                "the clock is too coarse to reach threshold"
+            )
+        arrival_sources = tuple(int(s) for s in self._pipe_src[head0:new_head])
+        fired_ix = tuple(int(i) for i in fired)
         for i in fired_ix:
             self._fire_log[i].append(t_event)
         return StepReport(
             event_time=t_event,
             arrival_sources=arrival_sources,
             fired=fired_ix,
-            spikes_scheduled=scheduled,
-            n_oscillators=self.n,
         )
 
     def drift_to(self, t: float) -> None:

@@ -2,8 +2,7 @@
 
 Every test computes its verdict first, prints ACCEPTANCE <id>: PASS/FAIL
 on the real stdout (so the line survives pytest capture), then asserts.
-Wall-clock limits are asserted only when the compiled kernel is active;
-the pure kernel is correct but not held to the same budget.
+C2 and C4 also assert wall-clock limits (60 s and 120 s).
 """
 
 import json
@@ -28,7 +27,6 @@ HEADLINE_TAU = 0.1
 CURVE = pc.CurveSpec(family="ms_exponential", i=1.05)
 COUPLING = pc.CouplingParams(n=HEADLINE_N, epsilon=HEADLINE_EPS, tau=HEADLINE_TAU)
 PARAMS = pc.ModelParams(curve=CURVE, coupling=COUPLING)
-COMPILED = pc.kernel_in_use() == "compiled"
 
 
 _CAPSYS = None
@@ -79,8 +77,7 @@ def test_c2_no_synchronization_from_random_starts():
         f"{summary.min_final_spread:.4g}, {elapsed:.1f}s",
     )
     assert ok
-    if COMPILED:
-        assert elapsed < 60.0
+    assert elapsed < 60.0
 
 
 def test_c3_tight_bunch_never_reaches_sync():
@@ -113,8 +110,7 @@ def test_c4_cluster_count_stabilizes_small():
     ok = good >= 9
     report("C4", ok, f"stable counts {stable_counts}, {good}/10 settled, {elapsed:.1f}s")
     assert ok
-    if COMPILED:
-        assert elapsed < 120.0
+    assert elapsed < 120.0
 
 
 def test_c5_randomized_parameters_keep_guarantees():

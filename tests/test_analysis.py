@@ -165,15 +165,11 @@ class TestAuditRun:
                 event_time=1.0,
                 arrival_sources=(),
                 fired=(7,),
-                spikes_scheduled=(PendingSpike(1.0 + tau, 7),),
-                n_oscillators=100,
             ),
             StepReport(
                 event_time=1.0 + tau / 2,
                 arrival_sources=(),
                 fired=(7,),
-                spikes_scheduled=(PendingSpike(1.0 + 1.5 * tau, 7),),
-                n_oscillators=100,
             ),
         )
         fire_log = tuple(
@@ -193,15 +189,11 @@ class TestAuditRun:
                 event_time=1.0,
                 arrival_sources=(),
                 fired=(3,),
-                spikes_scheduled=(PendingSpike(1.0 + tau, 3),),
-                n_oscillators=100,
             ),
             StepReport(
                 event_time=1.0 + tau,
                 arrival_sources=(3,),
                 fired=(3,),
-                spikes_scheduled=(PendingSpike(1.0 + 2 * tau, 3),),
-                n_oscillators=100,
             ),
         )
         fire_log = tuple(
@@ -217,8 +209,6 @@ class TestAuditRun:
                 event_time=0.5,
                 arrival_sources=(4,),
                 fired=(),
-                spikes_scheduled=(),
-                n_oscillators=100,
             ),
         )
         audit = pc.audit_run(reports, (), headline_params)
@@ -231,8 +221,6 @@ class TestAuditRun:
                 event_time=0.05,
                 arrival_sources=(4,),
                 fired=(),
-                spikes_scheduled=(),
-                n_oscillators=100,
             ),
         )
         audit = pc.audit_run(
