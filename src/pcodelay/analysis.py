@@ -324,12 +324,13 @@ def audit_run(
                     f"pulse from {s} consumed at t={rep.event_time} was never scheduled"
                 )
                 pend[s] = 0
+        arrived = set(rep.arrival_sources)
         for i in rep.fired:
             if pend[i] > 0:
                 violations.append(
                     f"oscillator {i} fired at t={rep.event_time} with its own pulse pending"
                 )
-            if i in rep.arrival_sources:
+            if i in arrived:
                 violations.append(
                     f"oscillator {i} fired at t={rep.event_time} in the same event "
                     "its own pulse arrived"
@@ -408,12 +409,18 @@ def large_gap_branch(
 
 
 def two_clique_map(
-    state: TwoCliqueState, curve: CurveSpec, coupling: CouplingParams
+    state: TwoCliqueState,
+    curve: CurveSpec,
+    coupling: CouplingParams,
+    *,
+    validated: bool = False,
 ) -> TwoCliqueState:
     """One cycle of the two-clique gap dynamics in closed form.
 
     Requires the saturation check (validate_assumptions) to hold; the branch
-    compositions are only meaningful below saturation.  theta == 0 is a
+    compositions are only meaningful below saturation.  The check runs here
+    unless validated=True says the caller already ran it for this curve and
+    coupling (iterate_return_map does, once per orbit).  theta == 0 is a
     fixed point (a merged network stays merged).  Gaps below the delay keep
     the clique sizes; gaps at or above it swap them.
     """
@@ -421,7 +428,7 @@ def two_clique_map(
         raise ValueError(
             f"clique sizes {state.p}+{state.q} != network size {coupling.n}"
         )
-    if not validate_assumptions(curve, coupling).a2_holds:
+    if not validated and not validate_assumptions(curve, coupling).a2_holds:
         raise InfeasibleScenarioError(
             "saturation check fails; the closed-form cycle is not valid"
         )
@@ -445,8 +452,9 @@ def iterate_return_map(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     orbit = [initial]
-    for _ in range(steps):
-        orbit.append(two_clique_map(orbit[-1], curve, coupling))
+    for k in range(steps):
+        # The first step runs the saturation check for the whole orbit.
+        orbit.append(two_clique_map(orbit[-1], curve, coupling, validated=k > 0))
     return orbit
 
 
@@ -532,6 +540,33 @@ def matched_phase_pair(params: ModelParams) -> tuple[NetworkState, float]:
     return NetworkState(params, [1.0 - phi, 1.0]), phi
 
 
+def _synchronized(state: NetworkState) -> bool:
+    # Exact: unequal phases are never synchronized, and the phase spread is
+    # far cheaper than the pending-pulse comparison.
+    return (
+        phase_spread(state) <= state.params.tol_phase
+        and is_completely_synchronized(state).synchronized
+    )
+
+
+def _run_to_horizon(net: NetworkState, horizon: float, stop_on_sync: bool) -> bool:
+    """Step through every event up to horizon; return whether the network
+    was ever completely synchronized (at the start or after an event).
+
+    The verdict cannot change between events: phases drift rigidly and
+    nothing lands.  With stop_on_sync the run stops at the first
+    synchronized instant (a synchronized network stays synchronized);
+    otherwise, and when synchrony never comes, it ends drifted to horizon.
+    """
+    synced = _synchronized(net)
+    while not (synced and stop_on_sync) and net.next_event_time() <= horizon:
+        net.step()
+        synced = synced or _synchronized(net)
+    if not (synced and stop_on_sync):
+        net.drift_to(horizon)
+    return synced
+
+
 @dataclass(frozen=True)
 class DesyncSummary:
     """Aggregate outcome of repeated randomized runs."""
@@ -565,14 +600,8 @@ def desync_trial(
     histogram: Counter[int] = Counter()
     for index in range(trials):
         net = NetworkState(params, init_sampler(index), fire_log_limit=4)
-        synced = is_completely_synchronized(net).synchronized
-        while not synced and net.next_event_time() <= horizon:
-            net.step()
-            synced = is_completely_synchronized(net).synchronized
-        if synced:
+        if _run_to_horizon(net, horizon, stop_on_sync=True):
             detected += 1
-        else:
-            net.drift_to(horizon)
         spreads.append(phase_spread(net))
         histogram[cluster_partition(net, tol_phase=cluster_tol).n_clusters] += 1
     return DesyncSummary(

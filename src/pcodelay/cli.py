@@ -27,13 +27,13 @@ from .analysis import (
     InfeasibleScenarioError,
     StructuralError,
     TwoCliqueState,
+    _run_to_horizon,
     audit_run,
     cluster_partition,
     desync_trial,
     is_completely_synchronized,
     iterate_return_map,
     matched_phase_pair,
-    min_interfire_gap,
     phase_spread,
     stable_cluster_count,
     stroboscopic_run,
@@ -200,12 +200,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     net = NetworkState(cfg.params, cfg.initial_phases(0))
-    sync_ever = is_completely_synchronized(net).synchronized
-    while net.next_event_time() <= cfg.horizon:
-        net.step()
-        if not sync_ever:
-            sync_ever = is_completely_synchronized(net).synchronized
-    net.drift_to(cfg.horizon)
+    sync_ever = _run_to_horizon(net, cfg.horizon, stop_on_sync=False)
     _json_out({
         "sync_ever": sync_ever,
         "frames_emitted": 0,
@@ -213,7 +208,7 @@ def cmd_simulate(args) -> int:
             net, tol_phase=cfg.cluster_tol
         ).n_clusters,
         "final_spread": phase_spread(net),
-        "min_interfire_gap": _finite_or_none(min_interfire_gap(net.fire_log)),
+        "min_interfire_gap": _finite_or_none(net.min_interfire_gap),
         "a2_value": report.a2_value,
     })
     return EXIT_OK
@@ -279,7 +274,7 @@ def cmd_strobe(args) -> int:
                 counts, window=min(_STABLE_WINDOW, len(counts))
             ),
             "min_frame_spread": min(spreads) if spreads else None,
-            "min_interfire_gap": _finite_or_none(min_interfire_gap(net.fire_log)),
+            "min_interfire_gap": _finite_or_none(net.min_interfire_gap),
             "a2_value": report.a2_value,
         },
         stream=sys.stderr if to_stdout else sys.stdout,

@@ -19,13 +19,18 @@ initial phases and injected pulses give bit-identical trajectories, which
 the command-line layer turns into byte-identical output files.
 
 The per-event work lives in the numpy kernel _kernel.step_once; step()
-wraps it and raises RuntimeError on an event that makes no progress.
+wraps it and raises RuntimeError on an event that makes no progress.  Apart
+from the kernel, step() does no Python work per firer: a firing event
+appends its time, its firer count and the kernel's fired array to a
+columnar log, which fire_log expands into per-oscillator times only when it
+is read, and a few array operations keep each oscillator's last firing time
+for the running min_interfire_gap.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,8 +113,9 @@ class NetworkState:
         params: model definition.
         initial_phases: length-n sequence, each in (0, 1].
         fire_log_limit: when given, keep only the most recent limit firing
-            times per oscillator (bounded memory for long runs); default
-            keeps everything.
+            times per oscillator (memory O(n * limit) for long runs); default
+            keeps everything.  min_interfire_gap covers the whole run either
+            way.
     """
 
     def __init__(
@@ -131,6 +137,8 @@ class NetworkState:
                 "initial phases must lie in (0, 1]; 0 is reserved for "
                 "oscillators that just fired (see inject_pending)"
             )
+        if fire_log_limit is not None and fire_log_limit < 0:
+            raise ValueError(f"fire_log_limit must be >= 0, got {fire_log_limit}")
         self.params = params
         self._now = 0.0
         self._phases = phases
@@ -142,10 +150,19 @@ class NetworkState:
         self._big_i = params.curve.i
         self._log_ratio = math.log1p(-1.0 / self._big_i)
         self._fire_log_limit = fire_log_limit
-        if fire_log_limit is None:
-            self._fire_log: list = [[] for _ in range(n)]
-        else:
-            self._fire_log = [deque(maxlen=fire_log_limit) for _ in range(n)]
+        # Columnar fire log: per firing event its time and firer count, and
+        # the firers of all events back to back in one array.  A truncated
+        # log is trimmed to the last fire_log_limit firings per oscillator
+        # whenever the array is full, so it never grows past its first size.
+        self._log_times: list[float] = []
+        self._log_sizes: list[int] = []
+        self._log_osc = np.empty(
+            n if fire_log_limit is None else 2 * n * (fire_log_limit + 1),
+            dtype=np.int32,
+        )
+        self._log_firings = 0
+        self._last_fire = np.full(n, -math.inf)
+        self._min_gap = math.inf
 
     # ------------------------------------------------------------------
     # views
@@ -175,8 +192,35 @@ class NetworkState:
 
     @property
     def fire_log(self) -> tuple[tuple[float, ...], ...]:
-        """Per-oscillator firing times (possibly truncated to the last K)."""
-        return tuple(tuple(times) for times in self._fire_log)
+        """Per-oscillator firing times (possibly truncated to the last K).
+
+        Built from the columnar log on every read; cache the result rather
+        than reading it in a loop.
+        """
+        per: list[list[float]] = [[] for _ in range(self.n)]
+        start = 0
+        for t, size in zip(self._log_times, self._log_sizes):
+            for i in self._log_osc[start:start + size].tolist():
+                per[i].append(t)
+            start += size
+        keep = self._fire_log_limit
+        # Drop each list once its tuple exists, so the two never coexist in
+        # full; this read is the fire log's memory peak.
+        per.reverse()
+        log = []
+        while per:
+            times = per.pop()
+            log.append(tuple(times if keep is None else times[max(len(times) - keep, 0):]))
+        return tuple(log)
+
+    @property
+    def min_interfire_gap(self) -> float:
+        """Smallest gap between consecutive firings of one oscillator, +inf if none.
+
+        Covers the whole run, also when fire_log_limit truncates fire_log;
+        on an untruncated log it equals analysis.min_interfire_gap(fire_log).
+        """
+        return self._min_gap
 
     def _pipeline_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         # Zero-copy pending view for the analysis layer: (times, sources).
@@ -204,12 +248,12 @@ class NetworkState:
         dup._big_i = self._big_i
         dup._log_ratio = self._log_ratio
         dup._fire_log_limit = self._fire_log_limit
-        if self._fire_log_limit is None:
-            dup._fire_log = [list(times) for times in self._fire_log]
-        else:
-            dup._fire_log = [
-                deque(times, maxlen=self._fire_log_limit) for times in self._fire_log
-            ]
+        dup._log_times = list(self._log_times)
+        dup._log_sizes = list(self._log_sizes)
+        dup._log_osc = self._log_osc.copy()
+        dup._log_firings = self._log_firings
+        dup._last_fire = self._last_fire.copy()
+        dup._min_gap = self._min_gap
         return dup
 
     # ------------------------------------------------------------------
@@ -243,20 +287,56 @@ class NetworkState:
         self._head = new_head
         self._tail = new_tail
         self._now = t_event
-        if new_head == head0 and fired.shape[0] == 0:
+        nf = fired.shape[0]
+        if nf:
+            # min over firers of t_event - last equals t_event - max(last):
+            # the rounded subtraction is monotone in last.
+            gap = t_event - float(self._last_fire[fired].max())
+            if gap < self._min_gap:
+                self._min_gap = gap
+            self._last_fire[fired] = t_event
+            if self._log_firings + nf > self._log_osc.shape[0]:
+                self._make_log_room(nf)
+            self._log_osc[self._log_firings:self._log_firings + nf] = fired
+            self._log_firings += nf
+            self._log_times.append(t_event)
+            self._log_sizes.append(nf)
+        elif new_head == head0:
             raise RuntimeError(
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
                 "the clock is too coarse to reach threshold"
             )
-        arrival_sources = tuple(int(s) for s in self._pipe_src[head0:new_head])
-        fired_ix = tuple(int(i) for i in fired)
-        for i in fired_ix:
-            self._fire_log[i].append(t_event)
         return StepReport(
             event_time=t_event,
-            arrival_sources=arrival_sources,
-            fired=fired_ix,
+            arrival_sources=tuple(self._pipe_src[head0:new_head].tolist()),
+            fired=tuple(fired.tolist()),
         )
+
+    def _make_log_room(self, nf: int) -> None:
+        # Trim a truncated log to the last fire_log_limit firings of every
+        # oscillator (then nf <= n more always fit); grow an untruncated one.
+        size = self._log_firings
+        keep = self._fire_log_limit
+        if keep is None:
+            grown = np.empty(max(2 * self._log_osc.shape[0], size + nf), dtype=np.int32)
+            grown[:size] = self._log_osc[:size]
+            self._log_osc = grown
+            return
+        osc = self._log_osc[:size]
+        # A stable sort keeps each oscillator's firings in time order; rank
+        # every firing by how many later firings its oscillator has.
+        order = np.argsort(osc, kind="stable")
+        block_end = np.cumsum(np.bincount(osc, minlength=self.n))
+        later = np.empty(size, dtype=np.intp)
+        later[order] = block_end[osc[order]] - 1 - np.arange(size)
+        kept = later < keep
+        event = np.repeat(np.arange(len(self._log_sizes)), self._log_sizes)
+        sizes = np.bincount(event[kept], minlength=len(self._log_sizes))
+        live = sizes > 0
+        self._log_times = np.array(self._log_times)[live].tolist()
+        self._log_sizes = sizes[live].tolist()
+        self._log_firings = int(np.count_nonzero(kept))
+        self._log_osc[:self._log_firings] = osc[kept]
 
     def drift_to(self, t: float) -> None:
         """Advance the clock to t with no intervening event.

@@ -1,8 +1,25 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 import pcodelay as pc
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def src_on_pythonpath(monkeypatch):
+    """Prepend this checkout's src to PYTHONPATH for child interpreters.
+
+    pyproject's pythonpath setting reaches only the test process; a test
+    that starts `python -m pcodelay` needs this so the child imports the
+    same copy of the package.
+    """
+    rest = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(SRC), rest])))
 
 
 @pytest.fixture(scope="session")

@@ -337,7 +337,7 @@ class TestC8TwoCliqueMap:
         assert ok, failures[:5]
 
 
-def test_c9_byte_identical_reruns(tmp_path, capsys):
+def test_c9_byte_identical_reruns(tmp_path, capsys, src_on_pythonpath):
     cfg = base_config(
         n=10, seed=5, horizon=None, strobe={"ref": 0, "frames": 30}
     )

@@ -203,6 +203,22 @@ class TestAuditRun:
         assert not audit.pending_ok
         assert not audit.ok
 
+    def test_violations_listed_in_event_and_firer_order(self, headline_params):
+        tau = headline_params.coupling.tau
+        t1, t2 = 1.0 + tau, 1.0 + 1.5 * tau
+        reports = (
+            StepReport(event_time=1.0, arrival_sources=(), fired=(3, 5)),
+            StepReport(event_time=t1, arrival_sources=(3, 5, 4), fired=(3, 5)),
+            StepReport(event_time=t2, arrival_sources=(), fired=(3, 4)),
+        )
+        audit = pc.audit_run(reports, (), headline_params)
+        assert audit.violations == (
+            f"pulse from 4 consumed at t={t1} was never scheduled",
+            f"oscillator 3 fired at t={t1} in the same event its own pulse arrived",
+            f"oscillator 5 fired at t={t1} in the same event its own pulse arrived",
+            f"oscillator 3 fired at t={t2} with its own pulse pending",
+        )
+
     def test_detects_arrival_never_scheduled(self, headline_params):
         reports = (
             StepReport(
@@ -320,6 +336,23 @@ class TestTwoCliqueMap:
         assert len(orbit) == 26
         assert all(isinstance(s, pc.TwoCliqueState) for s in orbit)
         assert all(0.0 <= s.theta < 1.0 for s in orbit)
+
+    def test_iterate_equals_repeated_map(self, std_curve):
+        coupling = pc.CouplingParams(n=10, epsilon=0.001, tau=0.1)
+        orbit = pc.iterate_return_map(
+            pc.TwoCliqueState(theta=0.05, p=4, q=6), 200, std_curve, coupling
+        )
+        state = orbit[0]
+        for expected in orbit[1:]:
+            state = pc.two_clique_map(state, std_curve, coupling)
+            assert state == expected
+
+    def test_iterate_rejects_saturation_violation(self, std_curve):
+        coupling = pc.CouplingParams(n=100, epsilon=0.02, tau=0.3)
+        with pytest.raises(InfeasibleScenarioError):
+            pc.iterate_return_map(
+                pc.TwoCliqueState(theta=0.05, p=50, q=50), 3, std_curve, coupling
+            )
 
     def test_iterate_zero_orbit_constant(self, std_curve):
         coupling = pc.CouplingParams(n=6, epsilon=0.001, tau=0.1)

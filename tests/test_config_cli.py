@@ -224,6 +224,26 @@ class TestSimulateCommand:
         assert payload["min_final_spread"] > 0.0
         assert sum(payload["cluster_count_histogram"].values()) == 3
 
+    def test_equal_phases_report_synchronization(self, write_config, capsys):
+        # Equal phases and an empty queue are complete synchronization at
+        # t = 0, and the network stays synchronized through every volley.
+        path = write_config(
+            base_config(n=3, horizon=5.0,
+                        init={"mode": "explicit", "phases": [1.0, 1.0, 1.0]})
+        )
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sync_ever"] is True
+        assert payload["final_spread"] == 0.0
+        assert payload["cluster_count_final"] == 1
+
+        code, out, err = run_cli(capsys, "simulate", path, "--trials", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sync_detected_count"] == 2
+        assert payload["cluster_count_histogram"] == {"1": 2}
+
     def test_requires_horizon(self, write_config, capsys):
         path = write_config(
             base_config(n=10, horizon=None, strobe={"ref": 0, "frames": 5})
@@ -397,7 +417,7 @@ class TestCounterexampleCommand:
         assert "infeasible" in err
 
 
-def test_module_entry_point(write_config, tmp_path):
+def test_module_entry_point(write_config, src_on_pythonpath):
     path = write_config(base_config())
     out = subprocess.run(
         [sys.executable, "-m", "pcodelay", "validate", path],

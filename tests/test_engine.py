@@ -269,6 +269,10 @@ class TestDeterminismAndLogs:
         for limited, complete in zip(net.fire_log, full.fire_log):
             assert limited == complete[-3:]
 
+    def test_negative_fire_log_limit_rejected(self):
+        with pytest.raises(ValueError):
+            pc.NetworkState(make_params(), [0.5, 0.9], fire_log_limit=-1)
+
     def test_copy_is_independent(self, headline_params):
         net = pc.NetworkState(headline_params, pc.sample_phases(5, 100))
         net.run_until_time(3.0)

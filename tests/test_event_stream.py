@@ -1,0 +1,100 @@
+"""Event-stream guard: speed changes to the engine must not change any event.
+
+Each digest is the SHA-256 of (event_time, len(fired), fired) for every
+event in order, packed as little-endian float64, int64 and int64 indices.
+The constants were computed with the engine that built fired and
+arrival_sources one int at a time and logged every firing per oscillator.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+import pcodelay as pc
+from pcodelay.analysis import min_interfire_gap
+
+# (n, epsilon, seed, horizon) -> (events, events with >= 100 firers, digest)
+STREAMS = {
+    (100, 0.001, 7, 100.0): (
+        1492, 0, "05edcad551e35079f5a62e689926c48df4dff0f071d401d707bf7b9876d612df",
+    ),
+    (1000, 1e-4, 7, 15.0): (
+        10407, 13, "eece7ef07a82e702f268ec3b1f8ade185b3ee90c171abf43037dd97c90d852a0",
+    ),
+}
+
+
+def make_net(n, epsilon, seed, fire_log_limit=None):
+    params = pc.ModelParams(
+        curve=pc.CurveSpec(i=1.05),
+        coupling=pc.CouplingParams(n=n, epsilon=epsilon, tau=0.1),
+    )
+    return pc.NetworkState(
+        params, pc.sample_phases(seed=seed, n=n), fire_log_limit=fire_log_limit
+    )
+
+
+@pytest.mark.parametrize("key", sorted(STREAMS), ids=["headline", "n1000"])
+def test_event_stream_digest(key):
+    n, epsilon, seed, horizon = key
+    events, big, digest = STREAMS[key]
+    net = make_net(n, epsilon, seed)
+    h = hashlib.sha256()
+    count = volleys = 0
+    while net.next_event_time() <= horizon:
+        rep = net.step()
+        assert type(rep.fired) is tuple and type(rep.arrival_sources) is tuple
+        assert all(type(i) is int for i in rep.fired + rep.arrival_sources)
+        h.update(struct.pack("<dq", rep.event_time, len(rep.fired)))
+        h.update(np.asarray(rep.fired, dtype=np.int64).tobytes())
+        count += 1
+        volleys += len(rep.fired) >= 100
+    assert (count, volleys) == (events, big)
+    assert h.hexdigest() == digest
+    assert net.min_interfire_gap == min_interfire_gap(net.fire_log)
+
+
+def test_min_interfire_gap_matches_fire_log_across_copy(headline_params):
+    net = pc.NetworkState(headline_params, pc.sample_phases(seed=7, n=100))
+    assert net.min_interfire_gap == float("inf")
+    net.run_until_time(5.0)
+    before = net.min_interfire_gap
+    assert before == min_interfire_gap(net.fire_log) < float("inf")
+    dup = net.copy()
+    assert dup.min_interfire_gap == before
+    assert dup.fire_log == net.fire_log
+    net.run_until_time(30.0)
+    dup.run_until_time(30.0)
+    for state in (net, dup):
+        assert state.min_interfire_gap == min_interfire_gap(state.fire_log)
+    assert dup.fire_log == net.fire_log
+    assert dup.min_interfire_gap == net.min_interfire_gap <= before
+
+
+def test_min_interfire_gap_when_absorption_merges_different_histories():
+    # Here a volley pushes oscillators with different last firing times over
+    # threshold together; the smallest gap belongs to the latest of them.
+    net = make_net(5, 0.02, 13)
+    net.run_until_time(20.0)
+    assert net.min_interfire_gap == min_interfire_gap(net.fire_log)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3])
+def test_truncated_log_keeps_last_firings_and_whole_run_gap(limit):
+    # 40 time units at n = 100 is about 4000 firings, far past the truncated
+    # log's capacity of 2 * n * (limit + 1), so it is trimmed several times.
+    full = make_net(100, 0.001, 11)
+    full.run_until_time(40.0)
+    complete = full.fire_log
+    assert min(len(times) for times in complete) > 3 * limit
+    net = make_net(100, 0.001, 11, fire_log_limit=limit)
+    net.run_until_time(20.0)
+    dup = net.copy()
+    for state in (net, dup):
+        state.run_until_time(40.0)
+        assert state.fire_log == tuple(
+            times[len(times) - limit:] if limit else () for times in complete
+        )
+        assert state.min_interfire_gap == full.min_interfire_gap
