@@ -24,7 +24,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .curves import CouplingParams, CurveSpec, f_eval, f_inv, jump, validate_assumptions
+from .curves import (
+    CouplingParams,
+    CurveSpec,
+    bind_jump,
+    f_eval,
+    f_inv,
+    jump,
+    validate_assumptions,
+)
 from .engine import ModelParams, NetworkState, PendingSpike, StepReport
 
 __all__ = [
@@ -376,6 +384,32 @@ class TwoCliqueState:
             raise ValueError(f"clique sizes must be >= 1, got ({self.p}, {self.q})")
 
 
+def _branches(curve: CurveSpec, coupling: CouplingParams) -> tuple[
+    Callable[[float, int, int, float], float],
+    Callable[[float, int, float], float],
+]:
+    """The two branch formulas with the curve, epsilon and tau bound.
+
+    Both branches take lead = jump(tau, q - 1), the leading clique's phase
+    after its own volley lands.  It depends only on q, so an orbit computes
+    it once per clique size.
+    """
+    j = bind_jump(curve, coupling.epsilon)
+    tau = coupling.tau
+
+    def small(theta: float, p: int, q: int, lead: float) -> float:
+        return j(lead + theta, p) - j(j(tau - theta, q) + theta, p - 1)
+
+    def large(theta: float, q: int, lead: float) -> float:
+        return j(1.0 - theta + tau, q) - lead
+
+    return small, large
+
+
+def _lead(curve: CurveSpec, coupling: CouplingParams, q: int) -> float:
+    return jump(curve, coupling.epsilon, coupling.tau, q - 1)
+
+
 def small_gap_branch(
     curve: CurveSpec, coupling: CouplingParams, theta: float, p: int, q: int
 ) -> float:
@@ -383,13 +417,11 @@ def small_gap_branch(
 
     Valid for 0 <= theta < tau (assuming the saturation check holds): both
     cliques fire before either volley lands, the volleys land in firing
-    order, and the clique sizes keep their roles.
+    order, and the clique sizes keep their roles.  The gap is
+    jump(jump(tau, q-1) + theta, p) - jump(jump(tau - theta, q) + theta, p-1).
     """
-    eps = coupling.epsilon
-    tau = coupling.tau
-    ahead = jump(curve, eps, jump(curve, eps, tau, q - 1) + theta, p)
-    behind = jump(curve, eps, jump(curve, eps, tau - theta, q) + theta, p - 1)
-    return ahead - behind
+    small, _ = _branches(curve, coupling)
+    return small(theta, p, q, _lead(curve, coupling, q))
 
 
 def large_gap_branch(
@@ -398,48 +430,69 @@ def large_gap_branch(
     """New gap after one cycle when the gap is at least the delay.
 
     Valid for tau <= theta < 1: the leading clique's volley lands before the
-    trailing clique fires, so the volley (size q) sets the new gap and the
-    cliques swap roles.  The outer jump may cap at threshold; the trailing
-    clique then fires the instant the volley arrives, which is exactly what
-    the event engine produces.
+    trailing clique fires, so the volley (size q) sets the new gap, which is
+    jump(1 - theta + tau, q) - jump(tau, q - 1), and the cliques swap roles.
+    The outer jump may cap at threshold; the trailing clique then fires the
+    instant the volley arrives, which is exactly what the event engine
+    produces.
     """
-    eps = coupling.epsilon
+    _, large = _branches(curve, coupling)
+    return large(theta, q, _lead(curve, coupling, q))
+
+
+def _orbit_columns(
+    initial: TwoCliqueState, steps: int, curve: CurveSpec, coupling: CouplingParams
+) -> tuple[list[float], list[int]]:
+    """The orbit of the return map as columns: thetas[k] and ps[k].
+
+    The k-th state is TwoCliqueState(thetas[k], ps[k], initial.p + initial.q
+    - ps[k]).  The sizes and the saturation check are validated once, before
+    the first step; each step then runs on plain floats and ints, checking
+    every jump's phase and every new theta as TwoCliqueState would.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    theta, p, q = initial.theta, initial.p, initial.q
+    thetas, ps = [theta], [p]
+    if steps == 0:
+        return thetas, ps
+    if p + q != coupling.n:
+        raise ValueError(f"clique sizes {p}+{q} != network size {coupling.n}")
+    if not validate_assumptions(curve, coupling).a2_holds:
+        raise InfeasibleScenarioError(
+            "saturation check fails; the closed-form cycle is not valid"
+        )
+    small, large = _branches(curve, coupling)
     tau = coupling.tau
-    return jump(curve, eps, 1.0 - theta + tau, q) - jump(curve, eps, tau, q - 1)
+    lead_p, lead_q = _lead(curve, coupling, p), _lead(curve, coupling, q)
+    for _ in range(steps):
+        if theta == 0.0:
+            theta = 0.0  # the merged network stays merged
+        elif theta < tau:
+            theta = max(0.0, small(theta, p, q, lead_q))
+        else:
+            theta = large(theta, q, lead_q)
+            p, q, lead_p, lead_q = q, p, lead_q, lead_p
+        if not 0.0 <= theta < 1.0:
+            raise ValueError(f"theta must lie in [0, 1), got {theta}")
+        thetas.append(theta)
+        ps.append(p)
+    return thetas, ps
 
 
 def two_clique_map(
-    state: TwoCliqueState,
-    curve: CurveSpec,
-    coupling: CouplingParams,
-    *,
-    validated: bool = False,
+    state: TwoCliqueState, curve: CurveSpec, coupling: CouplingParams
 ) -> TwoCliqueState:
     """One cycle of the two-clique gap dynamics in closed form.
 
     Requires the saturation check (validate_assumptions) to hold; the branch
-    compositions are only meaningful below saturation.  The check runs here
-    unless validated=True says the caller already ran it for this curve and
-    coupling (iterate_return_map does, once per orbit).  theta == 0 is a
+    compositions are only meaningful below saturation.  theta == 0 is a
     fixed point (a merged network stays merged).  Gaps below the delay keep
-    the clique sizes; gaps at or above it swap them.
+    the clique sizes (the new gap is clamped at 0); gaps at or above it swap
+    them.
     """
-    if state.p + state.q != coupling.n:
-        raise ValueError(
-            f"clique sizes {state.p}+{state.q} != network size {coupling.n}"
-        )
-    if not validated and not validate_assumptions(curve, coupling).a2_holds:
-        raise InfeasibleScenarioError(
-            "saturation check fails; the closed-form cycle is not valid"
-        )
-    theta = state.theta
-    if theta == 0.0:
-        return TwoCliqueState(0.0, state.p, state.q)
-    if theta < coupling.tau:
-        new_theta = small_gap_branch(curve, coupling, theta, state.p, state.q)
-        return TwoCliqueState(max(0.0, new_theta), state.p, state.q)
-    new_theta = large_gap_branch(curve, coupling, theta, state.q)
-    return TwoCliqueState(new_theta, state.q, state.p)
+    thetas, ps = _orbit_columns(state, 1, curve, coupling)
+    return TwoCliqueState(thetas[1], ps[1], coupling.n - ps[1])
 
 
 def iterate_return_map(
@@ -448,14 +501,11 @@ def iterate_return_map(
     """Orbit [initial, map(initial), ...] with steps applications.
 
     initial.theta == 0 is allowed and produces the constant merged orbit.
+    The checks run once per orbit, not once per step.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    orbit = [initial]
-    for k in range(steps):
-        # The first step runs the saturation check for the whole orbit.
-        orbit.append(two_clique_map(orbit[-1], curve, coupling, validated=k > 0))
-    return orbit
+    thetas, ps = _orbit_columns(initial, steps, curve, coupling)
+    size = initial.p + initial.q
+    return [TwoCliqueState(theta, p, size - p) for theta, p in zip(thetas, ps)]
 
 
 def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCliqueState:

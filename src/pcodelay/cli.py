@@ -27,12 +27,13 @@ from .analysis import (
     InfeasibleScenarioError,
     StructuralError,
     TwoCliqueState,
+    _orbit_columns,
     _run_to_horizon,
+    _synchronized,
     audit_run,
     cluster_partition,
     desync_trial,
     is_completely_synchronized,
-    iterate_return_map,
     matched_phase_pair,
     phase_spread,
     stable_cluster_count,
@@ -221,7 +222,7 @@ def cmd_strobe(args) -> int:
     report = validate_assumptions(cfg.params.curve, cfg.params.coupling)
     n = cfg.params.coupling.n
     net = NetworkState(cfg.params, cfg.initial_phases(0))
-    sync_ever = is_completely_synchronized(net).synchronized
+    sync_ever = _synchronized(net)
 
     out_path = args.output if args.output is not None else (
         cfg.output.path if cfg.output else None
@@ -233,19 +234,24 @@ def cmd_strobe(args) -> int:
     else:
         out_format = "csv"
 
+    frames = cfg.strobe.frames
+    # Only the trailing window of cluster counts reaches the summary, so
+    # only those frames are partitioned.
+    window = min(_STABLE_WINDOW, frames)
     ks: list[int] = []
     times: list[float] = []
     rows: list[list[float]] = []
     counts: list[int] = []
     spreads: list[float] = []
-    for frame in stroboscopic_run(net, cfg.strobe.ref, cfg.strobe.frames):
+    for frame in stroboscopic_run(net, cfg.strobe.ref, frames):
         ks.append(frame.k)
         times.append(frame.t)
         rows.append(frame.phases.tolist())
-        counts.append(cluster_partition(net, tol_phase=cfg.cluster_tol).n_clusters)
+        if frame.k > frames - window:
+            counts.append(cluster_partition(net, tol_phase=cfg.cluster_tol).n_clusters)
         spreads.append(float(frame.phases.max() - frame.phases.min()))
         if not sync_ever:
-            sync_ever = is_completely_synchronized(net).synchronized
+            sync_ever = _synchronized(net)
 
     stream, to_stdout = _open_output(out_path)
     try:
@@ -270,9 +276,7 @@ def cmd_strobe(args) -> int:
             "sync_ever": sync_ever,
             "frames_emitted": len(ks),
             "cluster_count_final": counts[-1] if counts else None,
-            "cluster_count_stable": stable_cluster_count(
-                counts, window=min(_STABLE_WINDOW, len(counts))
-            ),
+            "cluster_count_stable": stable_cluster_count(counts, window=window),
             "min_frame_spread": min(spreads) if spreads else None,
             "min_interfire_gap": _finite_or_none(net.min_interfire_gap),
             "a2_value": report.a2_value,
@@ -309,27 +313,27 @@ def cmd_returnmap(args) -> int:
     if cfg.returnmap is None:
         raise ConfigError("returnmap requires 'returnmap' in the config")
     rm = cfg.returnmap
-    curve = cfg.params.curve
-    coupling = cfg.params.coupling
-    orbit = iterate_return_map(
-        TwoCliqueState(rm.theta, rm.p, rm.q), rm.steps, curve, coupling
+    n = cfg.params.coupling.n
+    thetas, ps = _orbit_columns(
+        TwoCliqueState(rm.theta, rm.p, rm.q), rm.steps, cfg.params.curve,
+        cfg.params.coupling,
     )
 
-    deltas: list[str] = [""] * len(orbit)
+    deltas: list[str] = [""] * len(thetas)
     max_delta = None
     if rm.oracle_every > 0:
-        for step in range(1, len(orbit)):
-            if step % rm.oracle_every != 0:
-                continue
-            prev = orbit[step - 1]
-            if prev.theta <= 0.0:
+        for step in range(rm.oracle_every, len(thetas), rm.oracle_every):
+            prev_theta = thetas[step - 1]
+            if prev_theta <= 0.0:
                 continue  # merged; the engine cycle is degenerate
-            oracle = two_clique_oracle_step(prev, cfg.params)
-            if (oracle.p, oracle.q) != (orbit[step].p, orbit[step].q):
+            oracle = two_clique_oracle_step(
+                TwoCliqueState(prev_theta, ps[step - 1], n - ps[step - 1]), cfg.params
+            )
+            if (oracle.p, oracle.q) != (ps[step], n - ps[step]):
                 raise StructuralError(
                     f"oracle and map disagree on clique sizes at step {step}"
                 )
-            delta = abs(oracle.theta - orbit[step].theta)
+            delta = abs(oracle.theta - thetas[step])
             deltas[step] = _fmt(delta)
             max_delta = delta if max_delta is None else max(max_delta, delta)
 
@@ -338,14 +342,10 @@ def cmd_returnmap(args) -> int:
     )
     stream, to_stdout = _open_output(out_path)
     try:
-        _write_rows(
-            stream,
-            ["step", "theta", "p", "q", "oracle_delta"],
-            (
-                [str(s), _fmt(st.theta), str(st.p), str(st.q), deltas[s]]
-                for s, st in enumerate(orbit)
-            ),
-        )
+        # One f-string per row: the same digits as _fmt, at half the cost.
+        stream.write("step,theta,p,q,oracle_delta\n")
+        for s, (theta, p) in enumerate(zip(thetas, ps)):
+            stream.write(f"{s},{theta:.17g},{p},{n - p},{deltas[s]}\n")
     finally:
         if not to_stdout:
             stream.close()
@@ -354,8 +354,8 @@ def cmd_returnmap(args) -> int:
         {
             "steps": rm.steps,
             "theta_initial": rm.theta,
-            "theta_final": orbit[-1].theta,
-            "min_theta": min(s.theta for s in orbit),
+            "theta_final": thetas[-1],
+            "min_theta": min(thetas),
             "oracle_max_delta": max_delta,
         },
         stream=sys.stderr if to_stdout else sys.stdout,

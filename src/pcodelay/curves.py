@@ -21,6 +21,7 @@ in float64, which the threshold logic in the engine relies on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -33,6 +34,7 @@ __all__ = [
     "f_inv",
     "curve_slope",
     "jump",
+    "bind_jump",
     "validate_assumptions",
 ]
 
@@ -42,26 +44,32 @@ _DOMAIN_SLACK = 1e-12
 
 
 class _CurveOps(NamedTuple):
-    value: Callable[[float, float], float]
-    inverse: Callable[[float, float], float]
-    slope: Callable[[float, float], float]
+    """f, f_inv and f' of one curve, each a function of its one argument."""
+
+    value: Callable[[float], float]
+    inverse: Callable[[float], float]
+    slope: Callable[[float], float]
 
 
-def _ms_value(phi: float, i: float) -> float:
-    return -i * math.expm1(math.log1p(-1.0 / i) * phi)
-
-
-def _ms_inverse(x: float, i: float) -> float:
-    return math.log1p(-x / i) / math.log1p(-1.0 / i)
-
-
-def _ms_slope(phi: float, i: float) -> float:
+def _ms_exponential(i: float) -> _CurveOps:
     a = math.log1p(-1.0 / i)
-    return -i * a * math.exp(a * phi)
+
+    def value(phi: float) -> float:
+        return -i * math.expm1(a * phi)
+
+    def inverse(x: float) -> float:
+        return math.log1p(-x / i) / a
+
+    def slope(phi: float) -> float:
+        return -i * a * math.exp(a * phi)
+
+    return _CurveOps(value, inverse, slope)
 
 
-_FAMILIES: dict[str, _CurveOps] = {
-    "ms_exponential": _CurveOps(_ms_value, _ms_inverse, _ms_slope),
+# A family maps the curve parameter i to its operations, with the constants
+# that depend only on i computed once.
+_FAMILIES: dict[str, Callable[[float], _CurveOps]] = {
+    "ms_exponential": _ms_exponential,
 }
 
 
@@ -129,7 +137,13 @@ class AssumptionReport:
 def _check_phase(phi: float) -> float:
     if not (-_DOMAIN_SLACK <= phi <= 1.0 + _DOMAIN_SLACK):
         raise ValueError(f"phase {phi!r} outside [0, 1]")
-    return min(max(phi, 0.0), 1.0)
+    # min(max(phi, 0.0), 1.0) without the two calls; the same result,
+    # -0.0 included.
+    if phi < 0.0:
+        return 0.0
+    if phi > 1.0:
+        return 1.0
+    return phi
 
 
 def _check_state(x: float) -> float:
@@ -138,19 +152,28 @@ def _check_state(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
+def _ops(curve: CurveSpec) -> _CurveOps:
+    return _bound_family(curve.family, curve.i)
+
+
+@functools.lru_cache(maxsize=64)
+def _bound_family(family: str, i: float) -> _CurveOps:
+    return _FAMILIES[family](i)
+
+
 def f_eval(curve: CurveSpec, phi: float) -> float:
     """Evaluate the state curve at phase ``phi`` in [0, 1]."""
-    return _FAMILIES[curve.family].value(_check_phase(phi), curve.i)
+    return _ops(curve).value(_check_phase(phi))
 
 
 def f_inv(curve: CurveSpec, x: float) -> float:
     """Invert the state curve: the phase whose state is ``x`` in [0, 1]."""
-    return _FAMILIES[curve.family].inverse(_check_state(x), curve.i)
+    return _ops(curve).inverse(_check_state(x))
 
 
 def curve_slope(curve: CurveSpec, phi: float) -> float:
     """Derivative of the state curve at ``phi``; positive and decreasing."""
-    return _FAMILIES[curve.family].slope(_check_phase(phi), curve.i)
+    return _ops(curve).slope(_check_phase(phi))
 
 
 def jump(curve: CurveSpec, epsilon: float, theta: float, m: int) -> float:
@@ -168,16 +191,32 @@ def jump(curve: CurveSpec, epsilon: float, theta: float, m: int) -> float:
     """
     if m < 0:
         raise ValueError(f"pulse count m must be >= 0, got {m}")
+    return bind_jump(curve, epsilon)(theta, m)
+
+
+def bind_jump(curve: CurveSpec, epsilon: float) -> Callable[[float, int], float]:
+    """``jump`` with the curve and the pulse size fixed, for loops.
+
+    ``bind_jump(curve, epsilon)(theta, m) == jump(curve, epsilon, theta, m)``
+    bit for bit.  The epsilon check and the curve's constants are done once
+    here; each call still checks and clamps theta, but not m, so callers
+    must pass m >= 0.
+    """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    theta = _check_phase(theta)
-    if m == 0 or epsilon == 0.0:
-        return theta
-    ops = _FAMILIES[curve.family]
-    y = ops.value(theta, curve.i) + m * epsilon
-    if y >= 1.0:
-        return 1.0
-    return ops.inverse(y, curve.i)
+    ops = _ops(curve)
+    value, inverse = ops.value, ops.inverse
+
+    def bound(theta: float, m: int) -> float:
+        theta = _check_phase(theta)
+        if m == 0 or epsilon == 0.0:
+            return theta
+        y = value(theta) + m * epsilon
+        if y >= 1.0:
+            return 1.0
+        return inverse(y)
+
+    return bound
 
 
 def validate_assumptions(curve: CurveSpec, coupling: CouplingParams) -> AssumptionReport:

@@ -319,10 +319,8 @@ class TestC8TwoCliqueMap:
             state = pc.TwoCliqueState(
                 theta=orbit_rng.uniform_open_closed(0.0, 0.999), p=p, q=HEADLINE_N - p
             )
-            for _ in range(10_000):
-                state = pc.two_clique_map(state, CURVE, COUPLING)
-                if state.theta < min_theta:
-                    min_theta = state.theta
+            orbit = pc.iterate_return_map(state, 10_000, CURVE, COUPLING)
+            min_theta = min(min_theta, min(s.theta for s in orbit[1:]))
             if min_theta <= PARAMS.tol_phase:
                 failures.append(("orbit_collapse", min_theta))
                 break

@@ -4,6 +4,7 @@ CLI tests call main(argv) in-process and assert on exit codes and parsed
 JSON output; one subprocess test covers the python -m entry point.
 """
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import pcodelay as pc
+import pcodelay.cli
 from pcodelay.cli import main
 from pcodelay.config import ConfigError, load_config, parse_config
 
@@ -315,6 +317,44 @@ class TestStrobeCommand:
         code, out, err = run_cli(capsys, "strobe", path)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "n,seed,frames",
+        [(20, 3, 80), (30, 7, 120), (10, 5, 12)],  # counts moving, settled, < window
+    )
+    def test_partitions_only_reported_frames(
+        self, write_config, capsys, monkeypatch, n, seed, frames
+    ):
+        cfg = base_config(n=n, seed=seed, horizon=None,
+                          strobe={"ref": 0, "frames": frames})
+        path = write_config(cfg)
+
+        # Reference: partition after every frame, as the summary defines.
+        run = load_config(path)
+        net = pc.NetworkState(run.params, run.initial_phases(0))
+        counts = []
+        sync_ever = pc.is_completely_synchronized(net).synchronized
+        for _ in pc.stroboscopic_run(net, 0, frames):
+            counts.append(pc.cluster_partition(net, tol_phase=run.cluster_tol).n_clusters)
+            sync_ever = sync_ever or pc.is_completely_synchronized(net).synchronized
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pc.cluster_partition(*args, **kwargs)
+
+        monkeypatch.setattr(pcodelay.cli, "cluster_partition", counting)
+        code, out, err = run_cli(capsys, "strobe", path)
+        assert code == 0
+        summary = json.loads(err)
+        window = min(50, frames)
+        assert len(calls) == window
+        assert summary["cluster_count_final"] == counts[-1]
+        assert summary["cluster_count_stable"] == pc.stable_cluster_count(
+            counts, window=window
+        )
+        assert summary["sync_ever"] == sync_ever
+
 
 class TestAuditCommand:
     def test_clean_run_exits_0(self, write_config, capsys):
@@ -384,6 +424,29 @@ class TestReturnmapCommand:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert all(float(r[1]) == 0.0 for r in rows)
         assert all(r[4] == "" for r in rows)
+
+    def test_output_needs_only_write(self, write_config, capsys):
+        # sys.stdout may be any object with write(); writelines and the
+        # rest of io.TextIOBase are not guaranteed.
+        class Sink:
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        path = write_config(self.rm_cfg())
+        code, out, err = run_cli(capsys, "returnmap", path)
+        assert code == 0
+        sink_out, sink_err = Sink(), Sink()
+        with contextlib.redirect_stdout(sink_out), contextlib.redirect_stderr(sink_err):
+            assert main(["returnmap", path]) == 0
+        assert "".join(sink_out.parts) == out
+        assert "".join(sink_err.parts) == err
 
     def test_requires_returnmap_section(self, write_config, capsys):
         path = write_config(base_config(n=10))

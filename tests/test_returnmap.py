@@ -7,12 +7,18 @@ random feasible states and that orbits stay bounded away from the merged
 fixed point.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import pcodelay as pc
 from pcodelay.analysis import large_gap_branch, small_gap_branch
+from pcodelay.cli import main
 from pcodelay.rng import SplitMix64
+
+from conftest import base_config
 
 N = 10
 EPS = 0.001
@@ -180,3 +186,83 @@ class TestOrbits:
             pc.TwoCliqueState(theta=0.7, p=3, q=7), 50, curve, coupling
         )
         assert all({s.p, s.q} == {3, 7} for s in orbit)
+
+
+def reference_orbit(curve, theta, p, q, steps):
+    """The orbit written out from the two branch formulas with pc.jump.
+
+    Returns the states as (theta, p, q) and the branch taken at each step
+    ("merged", "small" or "large").
+    """
+    states = [(theta, p, q)]
+    branches = []
+    for _ in range(steps):
+        if theta == 0.0:
+            branches.append("merged")
+        elif theta < TAU:
+            lead = F(curve, F(curve, TAU, q - 1) + theta, p)
+            trail = F(curve, F(curve, TAU - theta, q) + theta, p - 1)
+            theta = max(0.0, lead - trail)
+            branches.append("small")
+        else:
+            theta = F(curve, 1.0 - theta + TAU, q) - F(curve, TAU, q - 1)
+            p, q = q, p
+            branches.append("large")
+        states.append((theta, p, q))
+    return states, branches
+
+
+class TestBitIdentity:
+    """The map, its orbits and its branches equal the jump compositions
+    exactly, not just to a tolerance."""
+
+    @pytest.mark.parametrize(
+        "theta,p,q,visits",
+        [
+            (0.05, 3, 7, {"small", "large"}),  # small gap first, p != q
+            (0.6, 3, 7, {"large"}),  # large gap, sizes swap
+            (0.3, 5, 5, {"large"}),
+            (0.05, 1, 9, {"small"}),  # a one-oscillator clique
+            (0.6, 1, 9, {"large"}),
+            (0.0, 4, 6, {"merged"}),  # the merged fixed point
+        ],
+    )
+    def test_orbit_equals_jump_compositions(self, curve, coupling, theta, p, q, visits):
+        steps = 300
+        expected, branches = reference_orbit(curve, theta, p, q, steps)
+        assert visits <= set(branches)
+
+        orbit = pc.iterate_return_map(pc.TwoCliqueState(theta, p, q), steps, curve, coupling)
+        assert [(s.theta, s.p, s.q) for s in orbit] == expected
+
+        for before, after in zip(orbit, orbit[1:]):
+            assert pc.two_clique_map(before, curve, coupling) == after
+
+    def test_branch_functions_equal_jump_compositions(self, curve, coupling):
+        for theta in np.linspace(0.0, TAU, 41)[:-1].tolist():
+            for p, q in ((1, 9), (3, 7), (9, 1)):
+                lead = F(curve, F(curve, TAU, q - 1) + theta, p)
+                trail = F(curve, F(curve, TAU - theta, q) + theta, p - 1)
+                assert small_gap_branch(curve, coupling, theta, p, q) == lead - trail
+        for theta in np.linspace(TAU, 1.0, 41)[:-1].tolist():
+            for q in (1, 5, 9):
+                expected = F(curve, 1.0 - theta + TAU, q) - F(curve, TAU, q - 1)
+                assert large_gap_branch(curve, coupling, theta, q) == expected
+
+
+# SHA-256 of `pcodelay returnmap` stdout (the CSV) and stderr (the summary)
+# for RETURNMAP_CONFIG, computed with the step-by-step map that built one
+# TwoCliqueState and ran every jump's checks afresh per step.
+RETURNMAP_CONFIG = base_config(
+    returnmap={"theta": 0.05, "p": 50, "q": 50, "steps": 20_000, "oracle_every": 1000}
+)
+RETURNMAP_STDOUT_SHA256 = "cc99fe8b0fd3e300f1d03f2cbb72406e4cee5dc7c8b18c3de8c64df235f4b3e5"
+RETURNMAP_STDERR_SHA256 = "6887ffcd9eb2fdee5a3f8c9b5302c2641925e1fdf579f56744b06418fcdd4969"
+
+
+def test_returnmap_cli_output_digest(write_config, capsys):
+    assert main(["returnmap", write_config(RETURNMAP_CONFIG)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["oracle_max_delta"] is not None
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == RETURNMAP_STDOUT_SHA256
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == RETURNMAP_STDERR_SHA256
