@@ -17,6 +17,7 @@ engine and is the ground truth the closed form is tested against.
 
 from __future__ import annotations
 
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,7 +50,6 @@ __all__ = [
     "cluster_partition",
     "stroboscopic_run",
     "audit_run",
-    "min_interfire_gap",
     "small_gap_branch",
     "large_gap_branch",
     "two_clique_map",
@@ -86,11 +86,6 @@ def phase_spread(state: NetworkState) -> float:
     """Largest minus smallest phase."""
     ph = state.phases
     return float(ph.max() - ph.min())
-
-
-def _per_source_counts(state: NetworkState) -> np.ndarray:
-    _, srcs = state._pipeline_arrays()
-    return np.bincount(srcs, minlength=state.n)
 
 
 def is_completely_synchronized(
@@ -273,7 +268,7 @@ def stroboscopic_run(
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Structural guarantees checked over a recorded run.
+    """Structural guarantees checked over a run's reports.
 
     gap_bound_ok: every oscillator's consecutive firings are separated by
         strictly more than twice the delay (min_interfire_gap is +inf when
@@ -281,6 +276,7 @@ class AuditReport:
     pending_ok: no oscillator ever had more than one pulse in flight, and
         none fired while its own pulse was still pending (including the
         boundary case of firing in the very event its pulse arrived).
+    events: the number of reports checked.
     """
 
     min_interfire_gap: float
@@ -288,23 +284,15 @@ class AuditReport:
     max_pending_per_source: int
     pending_ok: bool
     violations: tuple[str, ...] = field(default=())
+    events: int = 0
 
     @property
     def ok(self) -> bool:
         return self.gap_bound_ok and self.pending_ok
 
 
-def min_interfire_gap(fire_log: Sequence[Sequence[float]]) -> float:
-    """Smallest gap between consecutive firings of one oscillator (+inf if none)."""
-    return min(
-        (b - a for times in fire_log for a, b in zip(times, times[1:])),
-        default=float("inf"),
-    )
-
-
 def audit_run(
-    reports: Sequence[StepReport],
-    fire_log: Sequence[Sequence[float]],
+    reports: Iterable[StepReport],
     params: ModelParams,
     initial_pipeline: Iterable[PendingSpike | tuple[float, int]] = (),
 ) -> AuditReport:
@@ -312,12 +300,16 @@ def audit_run(
 
     reports must be the complete event sequence from the state the audit
     describes; pass initial_pipeline when the run started with injected
-    pulses.  fire_log may be ring-buffer truncated; gaps are then checked
-    within the retained window.
+    pulses.  reports is consumed once, in order, so a generator that steps
+    the network streams the audit in O(n) memory.  Interfiring gaps are
+    taken from each firer's previous firing time in the reports.
     """
     tau = params.coupling.tau
     n = params.coupling.n
     pend = [0] * n
+    last = [-math.inf] * n
+    min_gap = math.inf
+    events = 0
     for item in initial_pipeline:
         spike = PendingSpike(*item)
         pend[spike.source] += 1
@@ -325,6 +317,8 @@ def audit_run(
     violations: list[str] = []
 
     for rep in reports:
+        events += 1
+        t = rep.event_time
         for s in rep.arrival_sources:
             pend[s] -= 1
             if pend[s] < 0:
@@ -347,8 +341,11 @@ def audit_run(
             pend[i] += 1
             if pend[i] > max_pend:
                 max_pend = pend[i]
+            gap = t - last[i]
+            if gap < min_gap:
+                min_gap = gap
+            last[i] = t
 
-    min_gap = min_interfire_gap(fire_log)
     gap_ok = min_gap > 2.0 * tau
     pending_ok = max_pend <= 1 and not violations
     return AuditReport(
@@ -357,6 +354,7 @@ def audit_run(
         max_pending_per_source=max_pend,
         pending_ok=pending_ok,
         violations=tuple(violations),
+        events=events,
     )
 
 
@@ -649,7 +647,7 @@ def desync_trial(
     spreads: list[float] = []
     histogram: Counter[int] = Counter()
     for index in range(trials):
-        net = NetworkState(params, init_sampler(index), fire_log_limit=4)
+        net = NetworkState(params, init_sampler(index))
         if _run_to_horizon(net, horizon, stop_on_sync=True):
             detected += 1
         spreads.append(phase_spread(net))

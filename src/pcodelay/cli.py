@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .analysis import (
     InfeasibleScenarioError,
@@ -94,14 +94,6 @@ def _prepare(args) -> RunConfig:
             raise _StrictGateError(message)
         print(f"warning: {message}", file=sys.stderr)
     return cfg
-
-
-def _write_rows(
-    stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]
-) -> None:
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
 
 
 def _open_output(path: str | None):
@@ -238,34 +230,30 @@ def cmd_strobe(args) -> int:
     # Only the trailing window of cluster counts reaches the summary, so
     # only those frames are partitioned.
     window = min(_STABLE_WINDOW, frames)
+    csv = out_format == "csv"
+    # Only the SVG keeps the frames; CSV rows are written as frames are taken.
     ks: list[int] = []
-    times: list[float] = []
     rows: list[list[float]] = []
     counts: list[int] = []
     spreads: list[float] = []
-    for frame in stroboscopic_run(net, cfg.strobe.ref, frames):
-        ks.append(frame.k)
-        times.append(frame.t)
-        rows.append(frame.phases.tolist())
-        if frame.k > frames - window:
-            counts.append(cluster_partition(net, tol_phase=cfg.cluster_tol).n_clusters)
-        spreads.append(float(frame.phases.max() - frame.phases.min()))
-        if not sync_ever:
-            sync_ever = _synchronized(net)
-
     stream, to_stdout = _open_output(out_path)
     try:
-        if out_format == "csv":
-            header = ["k", "t_k"] + [f"phi_{j}" for j in range(n)]
-            _write_rows(
-                stream,
-                header,
-                (
-                    [str(k), _fmt(t)] + [_fmt(phi) for phi in row]
-                    for k, t, row in zip(ks, times, rows)
-                ),
-            )
-        else:
+        if csv:
+            stream.write(",".join(["k", "t_k"] + [f"phi_{j}" for j in range(n)]) + "\n")
+        for frame in stroboscopic_run(net, cfg.strobe.ref, frames):
+            if csv:
+                # One f-string per row: the same digits as _fmt.
+                phis = ",".join([format(x, ".17g") for x in frame.phases.tolist()])
+                stream.write(f"{frame.k},{frame.t:.17g},{phis}\n")
+            else:
+                ks.append(frame.k)
+                rows.append(frame.phases.tolist())
+            if frame.k > frames - window:
+                counts.append(cluster_partition(net, tol_phase=cfg.cluster_tol).n_clusters)
+            spreads.append(float(frame.phases.max() - frame.phases.min()))
+            if not sync_ever:
+                sync_ever = _synchronized(net)
+        if not csv:
             stream.write(_strobe_svg(ks, rows))
     finally:
         if not to_stdout:
@@ -274,7 +262,7 @@ def cmd_strobe(args) -> int:
     _json_out(
         {
             "sync_ever": sync_ever,
-            "frames_emitted": len(ks),
+            "frames_emitted": len(spreads),
             "cluster_count_final": counts[-1] if counts else None,
             "cluster_count_stable": stable_cluster_count(counts, window=window),
             "min_frame_spread": min(spreads) if spreads else None,
@@ -289,15 +277,19 @@ def cmd_strobe(args) -> int:
 def cmd_audit(args) -> int:
     cfg = _prepare(args)
     net = NetworkState(cfg.params, cfg.initial_phases(0))
-    if cfg.horizon is not None:
-        reports = net.run_until_time(cfg.horizon)
-    else:
-        reports = []
-        for _ in range(cfg.strobe.frames):
-            reports.extend(net.run_until_ref_fires(cfg.strobe.ref))
-    audit = audit_run(reports, net.fire_log, cfg.params)
+
+    def reports():
+        # Stepped as the audit consumes them: no list of the run's reports.
+        if cfg.horizon is not None:
+            while net.next_event_time() <= cfg.horizon:
+                yield net.step()
+        else:
+            for _ in range(cfg.strobe.frames):
+                yield from net.run_until_ref_fires(cfg.strobe.ref)
+
+    audit = audit_run(reports(), cfg.params)
     _json_out({
-        "events": len(reports),
+        "events": audit.events,
         "min_interfire_gap": _finite_or_none(audit.min_interfire_gap),
         "gap_bound_ok": audit.gap_bound_ok,
         "max_pending_per_source": audit.max_pending_per_source,

@@ -20,17 +20,15 @@ the command-line layer turns into byte-identical output files.
 
 The per-event work lives in the numpy kernel _kernel.step_once; step()
 wraps it and raises RuntimeError on an event that makes no progress.  Apart
-from the kernel, step() does no Python work per firer: a firing event
-appends its time, its firer count and the kernel's fired array to a
-columnar log, which fire_log expands into per-oscillator times only when it
-is read, and a few array operations keep each oscillator's last firing time
-for the running min_interfire_gap.
+from the kernel, step() does no Python work per firer: a few array
+operations keep each oscillator's last firing time for the running
+min_interfire_gap.  The state keeps no firing history; a caller that needs
+one reads it off the StepReports.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -88,21 +86,9 @@ class StepReport:
     arrival_sources: tuple[int, ...]
     fired: tuple[int, ...]
 
-    def arrivals_per_receiver(self, n: int) -> dict[int, int]:
-        """Pulse count per receiver among n oscillators, omitting zero counts."""
-        k = len(self.arrival_sources)
-        if k == 0:
-            return {}
-        own = Counter(self.arrival_sources)
-        return {
-            j: k - own.get(j, 0)
-            for j in range(n)
-            if k - own.get(j, 0) > 0
-        }
-
 
 class NetworkState:
-    """Mutable simulation state: clock, phases, pending pulses, firing log.
+    """Mutable simulation state: clock, phases, pending pulses, last firings.
 
     Construct with phases in (0, 1]; exactly 1.0 is legal and fires at t=0,
     exactly 0 is not (a freshly reset oscillator implies a pulse already in
@@ -112,18 +98,9 @@ class NetworkState:
     Args:
         params: model definition.
         initial_phases: length-n sequence, each in (0, 1].
-        fire_log_limit: when given, keep only the most recent limit firing
-            times per oscillator (memory O(n * limit) for long runs); default
-            keeps everything.  min_interfire_gap covers the whole run either
-            way.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        initial_phases: Sequence[float],
-        fire_log_limit: int | None = None,
-    ) -> None:
+    def __init__(self, params: ModelParams, initial_phases: Sequence[float]) -> None:
         n = params.coupling.n
         phases = np.array(initial_phases, dtype=np.float64).reshape(-1)
         if phases.shape[0] != n:
@@ -137,8 +114,6 @@ class NetworkState:
                 "initial phases must lie in (0, 1]; 0 is reserved for "
                 "oscillators that just fired (see inject_pending)"
             )
-        if fire_log_limit is not None and fire_log_limit < 0:
-            raise ValueError(f"fire_log_limit must be >= 0, got {fire_log_limit}")
         self.params = params
         self._now = 0.0
         self._phases = phases
@@ -149,18 +124,6 @@ class NetworkState:
         self._tail = 0
         self._big_i = params.curve.i
         self._log_ratio = math.log1p(-1.0 / self._big_i)
-        self._fire_log_limit = fire_log_limit
-        # Columnar fire log: per firing event its time and firer count, and
-        # the firers of all events back to back in one array.  A truncated
-        # log is trimmed to the last fire_log_limit firings per oscillator
-        # whenever the array is full, so it never grows past its first size.
-        self._log_times: list[float] = []
-        self._log_sizes: list[int] = []
-        self._log_osc = np.empty(
-            n if fire_log_limit is None else 2 * n * (fire_log_limit + 1),
-            dtype=np.int32,
-        )
-        self._log_firings = 0
         self._last_fire = np.full(n, -math.inf)
         self._min_gap = math.inf
 
@@ -191,34 +154,11 @@ class NetworkState:
         )
 
     @property
-    def fire_log(self) -> tuple[tuple[float, ...], ...]:
-        """Per-oscillator firing times (possibly truncated to the last K).
-
-        Built from the columnar log on every read; cache the result rather
-        than reading it in a loop.
-        """
-        per: list[list[float]] = [[] for _ in range(self.n)]
-        start = 0
-        for t, size in zip(self._log_times, self._log_sizes):
-            for i in self._log_osc[start:start + size].tolist():
-                per[i].append(t)
-            start += size
-        keep = self._fire_log_limit
-        # Drop each list once its tuple exists, so the two never coexist in
-        # full; this read is the fire log's memory peak.
-        per.reverse()
-        log = []
-        while per:
-            times = per.pop()
-            log.append(tuple(times if keep is None else times[max(len(times) - keep, 0):]))
-        return tuple(log)
-
-    @property
     def min_interfire_gap(self) -> float:
         """Smallest gap between consecutive firings of one oscillator, +inf if none.
 
-        Covers the whole run, also when fire_log_limit truncates fire_log;
-        on an untruncated log it equals analysis.min_interfire_gap(fire_log).
+        Covers the whole run; audit_run over the run's reports gives the
+        same value.
         """
         return self._min_gap
 
@@ -247,11 +187,6 @@ class NetworkState:
         dup._tail = self._tail
         dup._big_i = self._big_i
         dup._log_ratio = self._log_ratio
-        dup._fire_log_limit = self._fire_log_limit
-        dup._log_times = list(self._log_times)
-        dup._log_sizes = list(self._log_sizes)
-        dup._log_osc = self._log_osc.copy()
-        dup._log_firings = self._log_firings
         dup._last_fire = self._last_fire.copy()
         dup._min_gap = self._min_gap
         return dup
@@ -295,12 +230,6 @@ class NetworkState:
             if gap < self._min_gap:
                 self._min_gap = gap
             self._last_fire[fired] = t_event
-            if self._log_firings + nf > self._log_osc.shape[0]:
-                self._make_log_room(nf)
-            self._log_osc[self._log_firings:self._log_firings + nf] = fired
-            self._log_firings += nf
-            self._log_times.append(t_event)
-            self._log_sizes.append(nf)
         elif new_head == head0:
             raise RuntimeError(
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
@@ -311,32 +240,6 @@ class NetworkState:
             arrival_sources=tuple(self._pipe_src[head0:new_head].tolist()),
             fired=tuple(fired.tolist()),
         )
-
-    def _make_log_room(self, nf: int) -> None:
-        # Trim a truncated log to the last fire_log_limit firings of every
-        # oscillator (then nf <= n more always fit); grow an untruncated one.
-        size = self._log_firings
-        keep = self._fire_log_limit
-        if keep is None:
-            grown = np.empty(max(2 * self._log_osc.shape[0], size + nf), dtype=np.int32)
-            grown[:size] = self._log_osc[:size]
-            self._log_osc = grown
-            return
-        osc = self._log_osc[:size]
-        # A stable sort keeps each oscillator's firings in time order; rank
-        # every firing by how many later firings its oscillator has.
-        order = np.argsort(osc, kind="stable")
-        block_end = np.cumsum(np.bincount(osc, minlength=self.n))
-        later = np.empty(size, dtype=np.intp)
-        later[order] = block_end[osc[order]] - 1 - np.arange(size)
-        kept = later < keep
-        event = np.repeat(np.arange(len(self._log_sizes)), self._log_sizes)
-        sizes = np.bincount(event[kept], minlength=len(self._log_sizes))
-        live = sizes > 0
-        self._log_times = np.array(self._log_times)[live].tolist()
-        self._log_sizes = sizes[live].tolist()
-        self._log_firings = int(np.count_nonzero(kept))
-        self._log_osc[:self._log_firings] = osc[kept]
 
     def drift_to(self, t: float) -> None:
         """Advance the clock to t with no intervening event.

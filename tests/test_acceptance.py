@@ -82,7 +82,7 @@ def test_c2_no_synchronization_from_random_starts():
 
 def test_c3_tight_bunch_never_reaches_sync():
     phases = pc.sample_phases(31, HEADLINE_N, 0.0, 0.01)
-    net = pc.NetworkState(PARAMS, phases, fire_log_limit=4)
+    net = pc.NetworkState(PARAMS, phases)
     bad_frames = 0
     min_spread = float("inf")
     for frame in pc.stroboscopic_run(net, ref=0, frames=500):
@@ -100,7 +100,7 @@ def test_c4_cluster_count_stabilizes_small():
     stable_counts = []
     for seed in range(10):
         phases = pc.sample_phases(1000 + seed, HEADLINE_N)
-        net = pc.NetworkState(PARAMS, phases, fire_log_limit=4)
+        net = pc.NetworkState(PARAMS, phases)
         counts = []
         for _ in pc.stroboscopic_run(net, ref=0, frames=500):
             counts.append(pc.cluster_partition(net, tol_phase=1e-6).n_clusters)
@@ -130,7 +130,7 @@ def test_c5_randomized_parameters_keep_guarantees():
         params = pc.ModelParams(curve=curve, coupling=coupling)
         net = pc.NetworkState(params, pc.sample_phases(7000 + k, n))
         reports = net.run_until_time(10.0)
-        audit = pc.audit_run(reports, net.fire_log, params)
+        audit = pc.audit_run(reports, params)
         violation_total += len(audit.violations)
         worst_gap_margin = min(
             worst_gap_margin, audit.min_interfire_gap - 2.0 * tau

@@ -150,13 +150,26 @@ class TestAuditRun:
         phases = pc.sample_phases(21, 100)
         net = pc.NetworkState(headline_params, phases)
         reports = net.run_until_time(30.0)
-        audit = pc.audit_run(reports, net.fire_log, headline_params)
+        audit = pc.audit_run(reports, headline_params)
         assert audit.ok
         assert audit.gap_bound_ok
         assert audit.pending_ok
         assert audit.min_interfire_gap > 2 * headline_params.coupling.tau
+        assert audit.min_interfire_gap == net.min_interfire_gap
         assert audit.max_pending_per_source == 1
         assert audit.violations == ()
+        assert audit.events == len(reports)
+
+    def test_iterator_and_list_give_the_same_report(self, headline_params):
+        net = pc.NetworkState(headline_params, pc.sample_phases(21, 100))
+        reports = net.run_until_time(30.0)
+        audit = pc.audit_run(reports, headline_params)
+        assert pc.audit_run(iter(reports), headline_params) == audit
+        # A failing stream too: drop every other report.
+        broken = reports[::2]
+        audit = pc.audit_run(broken, headline_params)
+        assert not audit.ok
+        assert pc.audit_run(iter(broken), headline_params) == audit
 
     def test_detects_refire_while_own_pulse_pending(self, headline_params):
         tau = headline_params.coupling.tau
@@ -172,12 +185,10 @@ class TestAuditRun:
                 fired=(7,),
             ),
         )
-        fire_log = tuple(
-            (1.0, 1.0 + tau / 2) if i == 7 else () for i in range(100)
-        )
-        audit = pc.audit_run(reports, fire_log, headline_params)
+        audit = pc.audit_run(reports, headline_params)
         assert not audit.pending_ok
         assert not audit.gap_bound_ok
+        assert audit.min_interfire_gap == (1.0 + tau / 2) - 1.0
         assert audit.max_pending_per_source == 2
         assert not audit.ok
         assert audit.violations
@@ -196,10 +207,7 @@ class TestAuditRun:
                 fired=(3,),
             ),
         )
-        fire_log = tuple(
-            (1.0, 1.0 + tau) if i == 3 else () for i in range(100)
-        )
-        audit = pc.audit_run(reports, fire_log, headline_params)
+        audit = pc.audit_run(reports, headline_params)
         assert not audit.pending_ok
         assert not audit.ok
 
@@ -211,7 +219,7 @@ class TestAuditRun:
             StepReport(event_time=t1, arrival_sources=(3, 5, 4), fired=(3, 5)),
             StepReport(event_time=t2, arrival_sources=(), fired=(3, 4)),
         )
-        audit = pc.audit_run(reports, (), headline_params)
+        audit = pc.audit_run(reports, headline_params)
         assert audit.violations == (
             f"pulse from 4 consumed at t={t1} was never scheduled",
             f"oscillator 3 fired at t={t1} in the same event its own pulse arrived",
@@ -227,7 +235,7 @@ class TestAuditRun:
                 fired=(),
             ),
         )
-        audit = pc.audit_run(reports, (), headline_params)
+        audit = pc.audit_run(reports, headline_params)
         assert not audit.pending_ok
         assert any("never scheduled" in v for v in audit.violations)
 
@@ -241,7 +249,6 @@ class TestAuditRun:
         )
         audit = pc.audit_run(
             reports,
-            (),
             headline_params,
             initial_pipeline=(PendingSpike(0.05, 4),),
         )

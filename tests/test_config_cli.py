@@ -5,6 +5,7 @@ JSON output; one subprocess test covers the python -m entry point.
 """
 
 import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -386,6 +387,28 @@ class TestAuditCommand:
         code, out, err = run_cli(capsys, "audit", path)
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    # SHA-256 of `pcodelay audit` stdout, computed with the audit that read
+    # the gaps off the engine's per-oscillator fire log and kept every
+    # StepReport in a list.  The last config breaks the saturation check, so
+    # its digest covers the violation list and exit code 4.
+    @pytest.mark.parametrize(
+        "overrides,code,digest",
+        [
+            (dict(n=1000, epsilon=1e-4, horizon=100.0), 0,
+             "1280c70243b68cf4b4e30bf5beac2c5bc22e66b0281c7ec3270d7490f63f7296"),
+            (dict(n=10, seed=5, horizon=None, strobe={"ref": 0, "frames": 50}), 0,
+             "a7485f0ec522eebe8d73c405b1378f66de7177ea1778709feb667d4821da9cb2"),
+            (dict(n=1000, horizon=100.0), 4,
+             "c658145d08c6eaeb9e84acf1de7b319286f390fafdc27d579d10145bfdbf3c43"),
+        ],
+        ids=["horizon", "strobe", "violations"],
+    )
+    def test_audit_cli_output_digest(self, write_config, capsys, overrides, code, digest):
+        path = write_config(base_config(**overrides))
+        got, out, err = run_cli(capsys, "audit", path)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestReturnmapCommand:

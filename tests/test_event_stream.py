@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pcodelay as pc
-from pcodelay.analysis import min_interfire_gap
+from pcodelay.analysis import audit_run
 
 # (n, epsilon, seed, horizon) -> (events, events with >= 100 firers, digest)
 STREAMS = {
@@ -26,14 +26,12 @@ STREAMS = {
 }
 
 
-def make_net(n, epsilon, seed, fire_log_limit=None):
+def make_net(n, epsilon, seed):
     params = pc.ModelParams(
         curve=pc.CurveSpec(i=1.05),
         coupling=pc.CouplingParams(n=n, epsilon=epsilon, tau=0.1),
     )
-    return pc.NetworkState(
-        params, pc.sample_phases(seed=seed, n=n), fire_log_limit=fire_log_limit
-    )
+    return pc.NetworkState(params, pc.sample_phases(seed=seed, n=n))
 
 
 @pytest.mark.parametrize("key", sorted(STREAMS), ids=["headline", "n1000"])
@@ -43,8 +41,10 @@ def test_event_stream_digest(key):
     net = make_net(n, epsilon, seed)
     h = hashlib.sha256()
     count = volleys = 0
+    reports = []
     while net.next_event_time() <= horizon:
         rep = net.step()
+        reports.append(rep)
         assert type(rep.fired) is tuple and type(rep.arrival_sources) is tuple
         assert all(type(i) is int for i in rep.fired + rep.arrival_sources)
         h.update(struct.pack("<dq", rep.event_time, len(rep.fired)))
@@ -53,48 +53,26 @@ def test_event_stream_digest(key):
         volleys += len(rep.fired) >= 100
     assert (count, volleys) == (events, big)
     assert h.hexdigest() == digest
-    assert net.min_interfire_gap == min_interfire_gap(net.fire_log)
+    assert net.min_interfire_gap == audit_run(reports, net.params).min_interfire_gap
 
 
 def test_min_interfire_gap_matches_fire_log_across_copy(headline_params):
     net = pc.NetworkState(headline_params, pc.sample_phases(seed=7, n=100))
     assert net.min_interfire_gap == float("inf")
-    net.run_until_time(5.0)
+    head = net.run_until_time(5.0)
     before = net.min_interfire_gap
-    assert before == min_interfire_gap(net.fire_log) < float("inf")
+    assert before == audit_run(head, headline_params).min_interfire_gap < float("inf")
     dup = net.copy()
     assert dup.min_interfire_gap == before
-    assert dup.fire_log == net.fire_log
-    net.run_until_time(30.0)
-    dup.run_until_time(30.0)
-    for state in (net, dup):
-        assert state.min_interfire_gap == min_interfire_gap(state.fire_log)
-    assert dup.fire_log == net.fire_log
-    assert dup.min_interfire_gap == net.min_interfire_gap <= before
+    tail = net.run_until_time(30.0)
+    assert dup.run_until_time(30.0) == tail
+    whole = audit_run(head + tail, headline_params).min_interfire_gap
+    assert dup.min_interfire_gap == net.min_interfire_gap == whole <= before
 
 
 def test_min_interfire_gap_when_absorption_merges_different_histories():
     # Here a volley pushes oscillators with different last firing times over
     # threshold together; the smallest gap belongs to the latest of them.
     net = make_net(5, 0.02, 13)
-    net.run_until_time(20.0)
-    assert net.min_interfire_gap == min_interfire_gap(net.fire_log)
-
-
-@pytest.mark.parametrize("limit", [0, 1, 3])
-def test_truncated_log_keeps_last_firings_and_whole_run_gap(limit):
-    # 40 time units at n = 100 is about 4000 firings, far past the truncated
-    # log's capacity of 2 * n * (limit + 1), so it is trimmed several times.
-    full = make_net(100, 0.001, 11)
-    full.run_until_time(40.0)
-    complete = full.fire_log
-    assert min(len(times) for times in complete) > 3 * limit
-    net = make_net(100, 0.001, 11, fire_log_limit=limit)
-    net.run_until_time(20.0)
-    dup = net.copy()
-    for state in (net, dup):
-        state.run_until_time(40.0)
-        assert state.fire_log == tuple(
-            times[len(times) - limit:] if limit else () for times in complete
-        )
-        assert state.min_interfire_gap == full.min_interfire_gap
+    reports = net.run_until_time(20.0)
+    assert net.min_interfire_gap == audit_run(reports, net.params).min_interfire_gap
