@@ -5,11 +5,12 @@ to the event instant, apply all pulse arrivals within tol_time of it, detect
 threshold crossings, reset the firers and append their delayed pulses to the
 queue.
 
-The queue is a pair of parallel arrays (pipe_t, pipe_src) used as a FIFO
-window [head, tail).  It stays time-sorted without explicit sorting: every
-new arrival is scheduled at event_time + tau, which is no earlier than any
-pending entry because pending arrivals all lie within tau of the current
-time.  The caller guarantees capacity for n appends before each call.
+The queue is a deque of volleys (arrival_time, sources) in arrival order,
+one per firing event, holding its firers.  It stays time-sorted without
+explicit sorting: every new volley is scheduled at event_time + tau, which
+is no earlier than any pending one because pending arrivals all lie within
+tau of the current time.  Queued source arrays are read-only, so copies of
+a state may share them.
 
 Contract:
   - phases are mutated in place and stay in [0, 1];
@@ -23,13 +24,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def step_once(phases, pipe_t, pipe_src, head, tail, now,
+# The arrivals of an event that consumes no volley.
+_NO_ARRIVALS = np.empty(0, dtype=np.int64)
+_NO_ARRIVALS.flags.writeable = False
+
+
+def step_once(phases, pending, now,
               big_i, log_ratio, eps, tau, tol_time, tol_phase):
-    """Advance to the next event; return (t_event, new_head, new_tail, fired)."""
+    """Advance to the next event; return (t_event, arrived, fired).
+
+    arrived holds the source of every pulse consumed, in queue order.
+    """
     n = phases.shape[0]
     t_event = now + (1.0 - float(phases.max()))
-    if head < tail and pipe_t[head] < t_event:
-        t_event = float(pipe_t[head])
+    if pending and pending[0][0] < t_event:
+        t_event = pending[0][0]
     dt = t_event - now
     if dt < 0.0:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
@@ -38,17 +47,23 @@ def step_once(phases, pipe_t, pipe_src, head, tail, now,
         np.minimum(phases, 1.0, out=phases)
 
     limit = t_event + tol_time
-    new_head = head
-    while new_head < tail and pipe_t[new_head] <= limit:
-        new_head += 1
-    k = new_head - head
+    volleys = []
+    while pending and pending[0][0] <= limit:
+        volleys.append(pending.popleft()[1])
+    if not volleys:
+        arrived = _NO_ARRIVALS
+    elif len(volleys) == 1:
+        arrived = volleys[0]
+    else:
+        arrived = np.concatenate(volleys)
+    k = arrived.shape[0]
     if k > 0:
         # m = k - own, y = I * -expm1(log_ratio * phase) + m * eps and
         # z = log1p(-y / I) / log_ratio, as the same IEEE operations in the
         # same order as those expressions but in two n-length buffers: a
         # dozen temporaries per event let malloc trim and regrow the heap
         # on every call at n = 10^4.
-        m = np.bincount(pipe_src[head:new_head], minlength=n)
+        m = np.bincount(arrived, minlength=n)
         np.subtract(k, m, out=m)
         y = np.multiply(log_ratio, phases)
         np.expm1(y, out=y)
@@ -65,10 +80,8 @@ def step_once(phases, pipe_t, pipe_src, head, tail, now,
         np.copyto(phases, z, where=m > 0)
 
     fired = np.nonzero(phases >= 1.0 - tol_phase)[0]
-    nf = fired.shape[0]
-    if nf > 0:
+    if fired.shape[0] > 0:
         phases[fired] = 0.0
-        pipe_t[tail:tail + nf] = t_event + tau
-        pipe_src[tail:tail + nf] = fired
-        tail += nf
-    return t_event, new_head, tail, fired
+        fired.flags.writeable = False
+        pending.append((t_event + tau, fired))
+    return t_event, arrived, fired

@@ -41,7 +41,7 @@ from .analysis import (
     two_clique_oracle_step,
 )
 from .config import ConfigError, RunConfig, load_config
-from .curves import validate_assumptions
+from .curves import AssumptionReport, validate_assumptions
 from .engine import NetworkState
 from .rng import sample_phases
 
@@ -80,8 +80,8 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _prepare(args) -> RunConfig:
-    """Load the config and apply the saturation gate."""
+def _prepare(args) -> tuple[RunConfig, AssumptionReport]:
+    """Load the config and apply the saturation gate; return both."""
     cfg = load_config(args.config)
     strict = cfg.strict or args.strict
     report = validate_assumptions(cfg.params.curve, cfg.params.coupling)
@@ -93,7 +93,7 @@ def _prepare(args) -> RunConfig:
         if strict:
             raise _StrictGateError(message)
         print(f"warning: {message}", file=sys.stderr)
-    return cfg
+    return cfg, report
 
 
 def _open_output(path: str | None):
@@ -149,9 +149,8 @@ def _strobe_svg(ks: Sequence[int], phase_rows: Sequence[Sequence[float]]) -> str
 
 
 def cmd_validate(args) -> int:
-    cfg = _prepare(args)
+    cfg, report = _prepare(args)
     coupling = cfg.params.coupling
-    report = validate_assumptions(cfg.params.curve, coupling)
     _json_out({
         "n": coupling.n,
         "epsilon": coupling.epsilon,
@@ -166,11 +165,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _prepare(args)
+    cfg, report = _prepare(args)
     if cfg.horizon is None:
         raise ConfigError("simulate requires 'horizon' in the config")
     trials = args.trials if args.trials is not None else cfg.trials
-    report = validate_assumptions(cfg.params.curve, cfg.params.coupling)
 
     if trials > 1:
         summary = desync_trial(
@@ -208,10 +206,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_strobe(args) -> int:
-    cfg = _prepare(args)
+    cfg, report = _prepare(args)
     if cfg.strobe is None:
         raise ConfigError("strobe requires 'strobe' in the config")
-    report = validate_assumptions(cfg.params.curve, cfg.params.coupling)
     n = cfg.params.coupling.n
     net = NetworkState(cfg.params, cfg.initial_phases(0))
     sync_ever = _synchronized(net)
@@ -275,7 +272,7 @@ def cmd_strobe(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _prepare(args)
+    cfg, _ = _prepare(args)
     net = NetworkState(cfg.params, cfg.initial_phases(0))
 
     def reports():
@@ -301,7 +298,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_returnmap(args) -> int:
-    cfg = _prepare(args)
+    cfg, _ = _prepare(args)
     if cfg.returnmap is None:
         raise ConfigError("returnmap requires 'returnmap' in the config")
     rm = cfg.returnmap
@@ -356,7 +353,7 @@ def cmd_returnmap(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    cfg = _prepare(args)
+    cfg, _ = _prepare(args)
     params = cfg.params
     tau = params.coupling.tau
     net, phi = matched_phase_pair(params)

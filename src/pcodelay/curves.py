@@ -8,11 +8,9 @@ coordinates is the jump map
 
     jump(theta, m) = f_inv(min(1, f(theta) + m * epsilon))
 
-for ``m`` simultaneously arriving pulses.  One curve family is built in: an
+for ``m`` simultaneously arriving pulses.  The one curve family is an
 exponential approach to an asymptote ``i > 1`` (the classic leaky
-integrate-and-fire profile), registered as ``"ms_exponential"``.  New families
-plug in through the ``_FAMILIES`` registry; everything downstream goes through
-the functions here.
+integrate-and-fire profile), named ``"ms_exponential"``.
 
 The exponential family is evaluated as ``f(phi) = -i * expm1(a * phi)`` with
 ``a = log1p(-1/i)``; these forms make f(0) == 0.0 and f_inv(1.0) == 1.0 exact
@@ -21,10 +19,9 @@ in float64, which the threshold logic in the engine relies on.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 __all__ = [
     "CurveSpec",
@@ -33,6 +30,7 @@ __all__ = [
     "f_eval",
     "f_inv",
     "curve_slope",
+    "log_ratio",
     "jump",
     "bind_jump",
     "validate_assumptions",
@@ -43,34 +41,8 @@ __all__ = [
 _DOMAIN_SLACK = 1e-12
 
 
-class _CurveOps(NamedTuple):
-    """f, f_inv and f' of one curve, each a function of its one argument."""
-
-    value: Callable[[float], float]
-    inverse: Callable[[float], float]
-    slope: Callable[[float], float]
-
-
-def _ms_exponential(i: float) -> _CurveOps:
-    a = math.log1p(-1.0 / i)
-
-    def value(phi: float) -> float:
-        return -i * math.expm1(a * phi)
-
-    def inverse(x: float) -> float:
-        return math.log1p(-x / i) / a
-
-    def slope(phi: float) -> float:
-        return -i * a * math.exp(a * phi)
-
-    return _CurveOps(value, inverse, slope)
-
-
-# A family maps the curve parameter i to its operations, with the constants
-# that depend only on i computed once.
-_FAMILIES: dict[str, Callable[[float], _CurveOps]] = {
-    "ms_exponential": _ms_exponential,
-}
+# The only curve family; CurveSpec rejects every other name.
+_FAMILY = "ms_exponential"
 
 
 @dataclass(frozen=True)
@@ -89,10 +61,10 @@ class CurveSpec:
     i: float = 1.05
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family != _FAMILY:
             raise ValueError(
                 f"unknown curve family {self.family!r}; "
-                f"known: {sorted(_FAMILIES)}"
+                f"known: {[_FAMILY]}"
             )
         if not (isinstance(self.i, (int, float)) and math.isfinite(self.i)):
             raise ValueError("curve parameter i must be a finite number")
@@ -152,28 +124,26 @@ def _check_state(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _ops(curve: CurveSpec) -> _CurveOps:
-    return _bound_family(curve.family, curve.i)
-
-
-@functools.lru_cache(maxsize=64)
-def _bound_family(family: str, i: float) -> _CurveOps:
-    return _FAMILIES[family](i)
+def log_ratio(curve: CurveSpec) -> float:
+    """The exponent ``a = log1p(-1/i)`` of the curve; negative."""
+    return math.log1p(-1.0 / curve.i)
 
 
 def f_eval(curve: CurveSpec, phi: float) -> float:
     """Evaluate the state curve at phase ``phi`` in [0, 1]."""
-    return _ops(curve).value(_check_phase(phi))
+    return -curve.i * math.expm1(log_ratio(curve) * _check_phase(phi))
 
 
 def f_inv(curve: CurveSpec, x: float) -> float:
     """Invert the state curve: the phase whose state is ``x`` in [0, 1]."""
-    return _ops(curve).inverse(_check_state(x))
+    return math.log1p(-_check_state(x) / curve.i) / log_ratio(curve)
 
 
 def curve_slope(curve: CurveSpec, phi: float) -> float:
     """Derivative of the state curve at ``phi``; positive and decreasing."""
-    return _ops(curve).slope(_check_phase(phi))
+    i = curve.i
+    a = log_ratio(curve)
+    return -i * a * math.exp(a * _check_phase(phi))
 
 
 def jump(curve: CurveSpec, epsilon: float, theta: float, m: int) -> float:
@@ -204,17 +174,17 @@ def bind_jump(curve: CurveSpec, epsilon: float) -> Callable[[float, int], float]
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    ops = _ops(curve)
-    value, inverse = ops.value, ops.inverse
+    i = curve.i
+    a = log_ratio(curve)
 
     def bound(theta: float, m: int) -> float:
         theta = _check_phase(theta)
         if m == 0 or epsilon == 0.0:
             return theta
-        y = value(theta) + m * epsilon
+        y = -i * math.expm1(a * theta) + m * epsilon
         if y >= 1.0:
             return 1.0
-        return inverse(y)
+        return math.log1p(-y / i) / a
 
     return bound
 

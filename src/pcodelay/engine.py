@@ -18,10 +18,13 @@ firing share one bit pattern.  Runs are deterministic: identical params,
 initial phases and injected pulses give bit-identical trajectories, which
 the command-line layer turns into byte-identical output files.
 
-The per-event work lives in the numpy kernel _kernel.step_once; step()
-wraps it and raises RuntimeError on an event that makes no progress.  Apart
-from the kernel, step() does no Python work per firer: a few array
-operations keep each oscillator's last firing time for the running
+Pulses in flight are kept as volleys: every oscillator that fires in one
+event sends its pulse after the same delay, so the queue is a deque of
+(arrival_time, sources) pairs in arrival order.  The per-event work lives in
+the numpy kernel _kernel.step_once, which pops the volleys due and appends
+the new one; step() wraps it and raises RuntimeError on an event that makes
+no progress.  Apart from the kernel, step() does no Python work per firer: a
+few array operations keep each oscillator's last firing time for the running
 min_interfire_gap.  The state keeps no firing history; a caller that needs
 one reads it off the StepReports.
 """
@@ -29,13 +32,14 @@ one reads it off the StepReports.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernel
-from .curves import CouplingParams, CurveSpec
+from .curves import CouplingParams, CurveSpec, log_ratio
 
 __all__ = ["ModelParams", "PendingSpike", "StepReport", "NetworkState"]
 
@@ -88,12 +92,16 @@ class StepReport:
 
 
 class NetworkState:
-    """Mutable simulation state: clock, phases, pending pulses, last firings.
+    """Mutable simulation state: clock, phases, pending volleys, last firings.
 
     Construct with phases in (0, 1]; exactly 1.0 is legal and fires at t=0,
     exactly 0 is not (a freshly reset oscillator implies a pulse already in
     flight, which a fresh state does not have; use inject_pending to build
     such configurations).
+
+    Pending pulses are held as volleys, one (arrival_time, sources) pair
+    per firing event; the pipeline view flattens them to one PendingSpike
+    per pulse.
 
     Args:
         params: model definition.
@@ -117,13 +125,10 @@ class NetworkState:
         self.params = params
         self._now = 0.0
         self._phases = phases
-        cap = max(2 * n + 16, 64)
-        self._pipe_t = np.empty(cap, dtype=np.float64)
-        self._pipe_src = np.empty(cap, dtype=np.int64)
-        self._head = 0
-        self._tail = 0
+        # Volleys (arrival_time, read-only int64 sources), in arrival order.
+        self._pending: deque[tuple[float, np.ndarray]] = deque()
         self._big_i = params.curve.i
-        self._log_ratio = math.log1p(-1.0 / self._big_i)
+        self._log_ratio = log_ratio(params.curve)
         self._last_fire = np.full(n, -math.inf)
         self._min_gap = math.inf
 
@@ -149,8 +154,9 @@ class NetworkState:
     def pipeline(self) -> tuple[PendingSpike, ...]:
         """Pending pulses in arrival order."""
         return tuple(
-            PendingSpike(float(self._pipe_t[i]), int(self._pipe_src[i]))
-            for i in range(self._head, self._tail)
+            PendingSpike(t, s)
+            for t, sources in self._pending
+            for s in sources.tolist()
         )
 
     @property
@@ -163,28 +169,32 @@ class NetworkState:
         return self._min_gap
 
     def _pipeline_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # Zero-copy pending view for the analysis layer: (times, sources).
+        # Pending pulses flattened for the analysis layer: (times, sources),
+        # one entry per pulse in arrival order.
+        if not self._pending:
+            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
+        times, volleys = zip(*self._pending)
         return (
-            self._pipe_t[self._head:self._tail],
-            self._pipe_src[self._head:self._tail],
+            np.repeat(times, [v.shape[0] for v in volleys]),
+            np.concatenate(volleys),
         )
 
     def __repr__(self) -> str:
         return (
             f"NetworkState(n={self.n}, now={self._now!r}, "
-            f"pending={self._tail - self._head})"
+            f"pending={sum(v.shape[0] for _, v in self._pending)})"
         )
 
     def copy(self) -> "NetworkState":
-        """Independent deep copy; stepping one state never affects the other."""
+        """Independent copy; stepping one state never affects the other.
+
+        The two deques share their read-only volley arrays.
+        """
         dup = object.__new__(NetworkState)
         dup.params = self.params
         dup._now = self._now
         dup._phases = self._phases.copy()
-        dup._pipe_t = self._pipe_t.copy()
-        dup._pipe_src = self._pipe_src.copy()
-        dup._head = self._head
-        dup._tail = self._tail
+        dup._pending = deque(self._pending)
         dup._big_i = self._big_i
         dup._log_ratio = self._log_ratio
         dup._last_fire = self._last_fire.copy()
@@ -197,8 +207,8 @@ class NetworkState:
     def next_event_time(self) -> float:
         """Time of the next pulse arrival or threshold crossing."""
         t = self._now + (1.0 - float(self._phases.max()))
-        if self._head < self._tail:
-            t = min(t, float(self._pipe_t[self._head]))
+        if self._pending:
+            t = min(t, self._pending[0][0])
         return t
 
     def step(self) -> StepReport:
@@ -209,18 +219,13 @@ class NetworkState:
         large that drifting to the threshold rounds short of it; stepping
         again would repeat the same empty event forever.
         """
-        self._ensure_capacity()
-        head0 = self._head
         coupling = self.params.coupling
-        t_event, new_head, new_tail, fired = _kernel.step_once(
-            self._phases, self._pipe_t, self._pipe_src,
-            self._head, self._tail, self._now,
+        t_event, arrived, fired = _kernel.step_once(
+            self._phases, self._pending, self._now,
             self._big_i, self._log_ratio,
             coupling.epsilon, coupling.tau,
             self.params.tol_time, self.params.tol_phase,
         )
-        self._head = new_head
-        self._tail = new_tail
         self._now = t_event
         nf = fired.shape[0]
         if nf:
@@ -230,14 +235,14 @@ class NetworkState:
             if gap < self._min_gap:
                 self._min_gap = gap
             self._last_fire[fired] = t_event
-        elif new_head == head0:
+        elif arrived.shape[0] == 0:
             raise RuntimeError(
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
                 "the clock is too coarse to reach threshold"
             )
         return StepReport(
             event_time=t_event,
-            arrival_sources=tuple(self._pipe_src[head0:new_head].tolist()),
+            arrival_sources=tuple(arrived.tolist()),
             fired=tuple(fired.tolist()),
         )
 
@@ -326,38 +331,11 @@ class NetworkState:
             incoming.append(spike)
         if not incoming:
             return
-        live = [
-            PendingSpike(float(self._pipe_t[i]), int(self._pipe_src[i]))
-            for i in range(self._head, self._tail)
-        ]
-        merged = sorted(live + incoming)
-        need = len(merged)
-        if need > self._pipe_t.shape[0]:
-            cap = max(2 * self._pipe_t.shape[0], need + 2 * self.n)
-            self._pipe_t = np.empty(cap, dtype=np.float64)
-            self._pipe_src = np.empty(cap, dtype=np.int64)
-        self._pipe_t[:need] = [s.arrival_time for s in merged]
-        self._pipe_src[:need] = [s.source for s in merged]
-        self._head = 0
-        self._tail = need
-
-    def _ensure_capacity(self) -> None:
-        # The kernel may append up to n entries; compact or grow beforehand.
-        cap = self._pipe_t.shape[0]
-        n = self.n
-        if self._tail + n <= cap:
-            return
-        live = self._tail - self._head
-        if live + n <= cap:
-            self._pipe_t[:live] = self._pipe_t[self._head:self._tail].copy()
-            self._pipe_src[:live] = self._pipe_src[self._head:self._tail].copy()
-        else:
-            new_cap = max(2 * cap, live + n + 16)
-            new_t = np.empty(new_cap, dtype=np.float64)
-            new_src = np.empty(new_cap, dtype=np.int64)
-            new_t[:live] = self._pipe_t[self._head:self._tail]
-            new_src[:live] = self._pipe_src[self._head:self._tail]
-            self._pipe_t = new_t
-            self._pipe_src = new_src
-        self._head = 0
-        self._tail = live
+        # One single-source volley per pulse, so that arrivals keep
+        # (time, source) order however the pulses were grouped before.
+        pending: deque[tuple[float, np.ndarray]] = deque()
+        for t, s in sorted(list(self.pipeline) + incoming):
+            volley = np.array([s], dtype=np.int64)
+            volley.flags.writeable = False
+            pending.append((float(t), volley))
+        self._pending = pending

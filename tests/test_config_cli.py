@@ -357,6 +357,30 @@ class TestStrobeCommand:
         assert summary["sync_ever"] == sync_ever
 
 
+    # SHA-256 of `pcodelay strobe` stdout (the CSV) and stderr (the
+    # summary), computed while the engine kept pending pulses in a ring
+    # buffer.  Both runs partition and check synchrony with pulses in flight.
+    @pytest.mark.parametrize(
+        "overrides,out_digest,err_digest",
+        [
+            (dict(), "3d5fb12d86b3cc1f85c60b316e9944e2e4ec0bda9b789d96cd89f06f7c703280",
+             "b95ea8038463857d466348ed8c671434fe0b6a3f5351020ee8caa55f816d3a86"),
+            (dict(init={"mode": "uniform", "low": 0.0, "high": 0.01}),
+             "d2da586757c137e4d8a805429f63eb31b3a20c764055726fcfdb705867a44811",
+             "ff01e90ed9e9b9ebcb5c168a5f194eba32725573dca592fb4709b3f8e15c7cd1"),
+        ],
+        ids=["uniform", "bunched"],
+    )
+    def test_strobe_cli_output_digest(
+        self, write_config, capsys, overrides, out_digest, err_digest
+    ):
+        cfg = base_config(horizon=None, strobe={"ref": 0, "frames": 200}, **overrides)
+        code, out, err = run_cli(capsys, "strobe", write_config(cfg))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
 class TestAuditCommand:
     def test_clean_run_exits_0(self, write_config, capsys):
         path = write_config(base_config(n=10, seed=3, horizon=10.0))
@@ -495,6 +519,18 @@ class TestCounterexampleCommand:
         assert payload["synchronized_mid_window"] is False
         assert payload["diverged_after_window"] is True
         assert payload["spread_after_window"] > payload["spread_mid_window"]
+
+    def test_counterexample_cli_output_digest(self, write_config, capsys):
+        # SHA-256 of the stdout computed while the engine kept pending
+        # pulses in a ring buffer; the synchrony checks in the window run
+        # with a pulse in flight.
+        path = write_config(base_config(n=2, horizon=5.0))
+        code, out, err = run_cli(capsys, "counterexample", path)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c2e3d4a119f80005ba2e214697a314b24c07dd3d275ee81924458726814322a0"
+        )
 
     def test_requires_two_oscillators(self, write_config, capsys):
         path = write_config(base_config(n=100))

@@ -230,8 +230,51 @@ class TestPipeline:
         assert abs(net.phases[0] - expected) <= 1e-13
         assert net.phases[1] == pytest.approx(0.95, abs=1e-15)
 
+    def test_pulses_within_tol_time_arrive_in_one_event(self):
+        params = make_params(n=3)
+        curve = params.curve
+        net = pc.NetworkState(params, [0.5, 0.6, 0.7])
+        net.inject_pending([(0.05, 1), (0.05 + 5e-10, 2)])
+        report = net.step()
+        assert report.event_time == 0.05
+        assert report.arrival_sources == (1, 2)
+        assert report.fired == ()
+        assert net.pipeline == ()
+        expected = [
+            jump(curve, 0.001, 0.5 + 0.05, 2),
+            jump(curve, 0.001, 0.6 + 0.05, 1),
+            jump(curve, 0.001, 0.7 + 0.05, 1),
+        ]
+        assert np.abs(net.phases - expected).max() <= 1e-13
+
+    def test_injected_pulse_joins_live_volley_in_source_order(self):
+        net = pc.NetworkState(make_params(n=4), [0.5, 1.0, 1.0, 0.3])
+        assert net.step().fired == (1, 2)  # volley of sources 1, 2 due at tau
+        net.inject_pending([(0.1, 3), (0.1, 0)])
+        assert net.pipeline == tuple(pc.PendingSpike(0.1, s) for s in range(4))
+        report = net.step()
+        assert report.event_time == 0.1
+        assert report.arrival_sources == (0, 1, 2, 3)
+
+    def test_copies_keep_their_own_pipeline(self, headline_params):
+        net = pc.NetworkState(headline_params, pc.sample_phases(5, 100))
+        net.run_until_time(3.0)
+        dup = net.copy()
+        before = net.pipeline
+        assert before and dup.pipeline == before
+        for _ in range(200):
+            net.step()
+        assert net.pipeline != before
+        assert dup.pipeline == before
+        after = net.pipeline
+        for _ in range(200):
+            dup.step()
+        assert dup.pipeline != before
+        assert net.pipeline == after
+
     def test_queue_compaction_and_growth(self):
-        # overfill the queue relative to its initial capacity
+        # a queue far longer than one event's volley drains to at most one
+        # pending pulse per source
         params = make_params(n=3, epsilon=1e-6)
         net = pc.NetworkState(params, [0.2, 0.3, 0.4])
         spikes = [(0.001 + 0.0009 * k, k % 3) for k in range(100)]
