@@ -88,42 +88,26 @@ def phase_spread(state: NetworkState) -> float:
     return float(ph.max() - ph.min())
 
 
-def is_completely_synchronized(
-    state: NetworkState,
-    tol_phase: float | None = None,
-    tol_time: float | None = None,
-) -> SyncVerdict:
+def is_completely_synchronized(state: NetworkState) -> SyncVerdict:
     """Test for complete synchronization at the current instant.
 
     Synchronized means every phase agrees within tol_phase AND every
     oscillator sources the same multiset of pending arrival times within
-    tol_time.  The second condition is equivalent to every oscillator
-    *receiving* the same pending multiset, since each pulse reaches everyone
-    but its own source; it is what makes equal-phase states with asymmetric
-    traffic (see matched_phase_pair) correctly test as unsynchronized.
+    tol_time: equal pulse counts, and a spread of at most tol_time in each
+    column of the per-source arrival times.  The second condition is
+    equivalent to every oscillator *receiving* the same pending multiset,
+    since each pulse reaches everyone but its own source; it is what makes
+    equal-phase states with asymmetric traffic (see matched_phase_pair)
+    correctly test as unsynchronized.
     """
-    if tol_phase is None:
-        tol_phase = state.params.tol_phase
-    if tol_time is None:
-        tol_time = state.params.tol_time
     spread = phase_spread(state)
-    phases_equal = spread <= tol_phase
-
-    times, srcs = state._pipeline_arrays()
-    if times.shape[0] == 0:
-        mismatch = False
-    else:
-        counts = np.bincount(srcs, minlength=state.n)
-        if counts.min() != counts.max():
-            mismatch = True
-        else:
-            per = int(counts[0])
-            order = np.lexsort((times, srcs))
-            mat = times[order].reshape(state.n, per)
-            col_spread = mat.max(axis=0) - mat.min(axis=0)
-            mismatch = bool((col_spread > tol_time).any())
+    counts, due = state._pending_by_source()
+    mismatch = bool(
+        counts.min() != counts.max()
+        or (due.max(axis=0) - due.min(axis=0) > state.params.tol_time).any()
+    )
     return SyncVerdict(
-        synchronized=phases_equal and not mismatch,
+        synchronized=spread <= state.params.tol_phase and not mismatch,
         phase_spread=spread,
         pipeline_mismatch=mismatch,
     )
@@ -156,63 +140,52 @@ class ClusterPartition:
 
 
 def cluster_partition(
-    state: NetworkState,
-    tol_phase: float | None = None,
-    tol_time: float | None = None,
+    state: NetworkState, tol_phase: float | None = None
 ) -> ClusterPartition:
     """Partition oscillators into co-moving clusters.
 
     Two oscillators belong together only if their phases match within
-    tol_phase and the arrival-time multisets of their own pending pulses
-    match within tol_time.  Defaults are the tight engine tolerances;
-    pass tol_phase=1e-6 for the loose grouping used when eyeballing plots.
+    tol_phase and the arrival times of their own pending pulses match,
+    pulse for pulse, within the engine's tol_time.  The default tol_phase
+    is the tight engine tolerance; pass tol_phase=1e-6 for the loose
+    grouping used when eyeballing plots.
+
+    One lexsort orders the oscillators by phase run, pulse count and
+    arrival times; a cluster ends wherever the run or the count changes or
+    some arrival time moves by more than tol_time.
     """
     if tol_phase is None:
         tol_phase = state.params.tol_phase
-    if tol_time is None:
-        tol_time = state.params.tol_time
-    n = state.n
     phases = state.phases
-    times, srcs = state._pipeline_arrays()
-    signatures: list[list[float]] = [[] for _ in range(n)]
-    for t, s in zip(times.tolist(), srcs.tolist()):
-        signatures[int(s)].append(float(t))
-    for sig in signatures:
-        sig.sort()
+    counts, due = state._pending_by_source()
 
-    order = np.argsort(phases, kind="stable")
-    phase_groups: list[list[int]] = [[int(order[0])]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        if float(phases[cur]) - float(phases[prev]) > tol_phase:
-            phase_groups.append([])
-        phase_groups[-1].append(int(cur))
+    by_phase = np.argsort(phases, kind="stable")
+    run = np.empty(state.n, dtype=np.int64)
+    run[by_phase] = np.concatenate(
+        ([0], np.cumsum(np.diff(phases[by_phase]) > tol_phase))
+    )
+    # lexsort's last key is the primary one.
+    order = np.lexsort((*due.T[::-1], counts, run))
+    due = due[order]
+    split = (
+        (np.diff(run[order]) != 0)
+        | (np.diff(counts[order]) != 0)
+        | (np.abs(np.diff(due, axis=0)) > state.params.tol_time).any(axis=1)
+    )
+    label = np.empty(state.n, dtype=np.int64)
+    label[order] = np.concatenate(([0], np.cumsum(split)))
 
-    clusters: list[tuple[int, ...]] = []
-    for group in phase_groups:
-        by_len: dict[int, list[int]] = {}
-        for i in group:
-            by_len.setdefault(len(signatures[i]), []).append(i)
-        for length, members in by_len.items():
-            if length == 0:
-                clusters.append(tuple(sorted(members)))
-                continue
-            members.sort(key=lambda i: signatures[i])
-            current = [members[0]]
-            for prev, cur in zip(members[:-1], members[1:]):
-                linked = all(
-                    abs(a - b) <= tol_time
-                    for a, b in zip(signatures[prev], signatures[cur])
-                )
-                if linked:
-                    current.append(cur)
-                else:
-                    clusters.append(tuple(sorted(current)))
-                    current = [cur]
-            clusters.append(tuple(sorted(current)))
-
-    clusters.sort(key=lambda c: c[0])
-    reps = tuple(float(phases[c[0]]) for c in clusters)
-    return ClusterPartition(clusters=tuple(clusters), representative_phases=reps)
+    # Order the clusters by their smallest member, members ascending.
+    _, first = np.unique(label, return_index=True)
+    lead = first[label]
+    members = np.argsort(lead, kind="stable")
+    cuts = (np.flatnonzero(np.diff(lead[members])) + 1).tolist()
+    members = members.tolist()
+    clusters = tuple(
+        tuple(members[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, state.n])
+    )
+    reps = tuple(phases[np.sort(first)].tolist())
+    return ClusterPartition(clusters=clusters, representative_phases=reps)
 
 
 def stable_cluster_count(counts: Sequence[int], window: int = 50) -> int | None:
@@ -543,12 +516,8 @@ def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCli
             )
         if net.now <= 0.0:
             continue  # the opening volley, not a return
-        _, srcs = net._pipeline_arrays()
-        fresh_only = srcs.shape[0] == len(rep.fired) and all(
-            int(s) in fired for s in srcs
-        )
-        if not fresh_only:
-            continue
+        if sorted(s for _, s in net.pipeline) != list(rep.fired):
+            continue  # older pulses still in flight
         others = sorted(behind if fired == ahead else ahead)
         other_phases = net.phases[others]
         if float(other_phases.max() - other_phases.min()) > 1e-9:

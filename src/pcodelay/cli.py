@@ -19,6 +19,7 @@ an identical config and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence, TextIO
@@ -97,7 +98,7 @@ def _prepare(args) -> tuple[RunConfig, AssumptionReport]:
 
 
 def _open_output(path: str | None):
-    """Yield (stream, is_stdout); caller prints summaries to stderr if stdout."""
+    """Return (stream, is_stdout); caller prints summaries to stderr if stdout."""
     if path is None:
         return sys.stdout, True
     return open(path, "w", encoding="utf-8", newline="\n"), False
@@ -168,14 +169,15 @@ def cmd_simulate(args) -> int:
     cfg, report = _prepare(args)
     if cfg.horizon is None:
         raise ConfigError("simulate requires 'horizon' in the config")
-    trials = args.trials if args.trials is not None else cfg.trials
+    if args.trials is not None:
+        cfg = dataclasses.replace(cfg, trials=args.trials)
 
-    if trials > 1:
+    if cfg.trials > 1:
         summary = desync_trial(
             cfg.params,
             lambda t: cfg.initial_phases(t),
             cfg.horizon,
-            trials,
+            cfg.trials,
             cluster_tol=cfg.cluster_tol,
         )
         _json_out({

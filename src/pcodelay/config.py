@@ -107,6 +107,16 @@ class RunConfig:
     output: OutputSpec | None
     returnmap: ReturnMapSpec | None
 
+    def __post_init__(self) -> None:
+        # Here, not in parse_config, so that a trial count set from the
+        # command line through dataclasses.replace meets the same rule.
+        if self.trials < 1:
+            raise ConfigError("trials: must be >= 1")
+        if self.trials > 1 and isinstance(self.init, ExplicitInit):
+            raise ConfigError(
+                "trials: explicit init cannot vary across trials; use uniform"
+            )
+
     def initial_phases(self, trial: int = 0) -> np.ndarray:
         """Initial phases for one trial (explicit, or seeded uniform draws)."""
         n = self.params.coupling.n
@@ -266,10 +276,6 @@ def parse_config(text: str) -> RunConfig:
     strict = bool(_expect(raw, "strict", "boolean")) if "strict" in raw else False
 
     trials = _expect(raw, "trials", "integer") if "trials" in raw else 1
-    if trials < 1:
-        raise ConfigError("trials: must be >= 1")
-    if trials > 1 and isinstance(init, ExplicitInit):
-        raise ConfigError("trials: explicit init cannot vary across trials; use uniform")
 
     returnmap = None
     if "returnmap" in raw:

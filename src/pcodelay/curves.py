@@ -50,7 +50,7 @@ class CurveSpec:
     """Parameters of one state curve.
 
     Attributes:
-        family: registered curve family name.
+        family: curve family name; "ms_exponential" is the only one.
         i: asymptote of the state curve; must be > 1 so the curve is concave
             and reaches threshold in finite phase.  Values barely above 1 are
             legal; they just make the network easy to saturate, which

@@ -168,16 +168,27 @@ class NetworkState:
         """
         return self._min_gap
 
-    def _pipeline_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # Pending pulses flattened for the analysis layer: (times, sources),
-        # one entry per pulse in arrival order.
+    def _pending_by_source(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pending pulses per source, for the analysis layer: (counts, due).
+
+        counts[i] is the number of pulses pending from source i, and
+        due[i, :counts[i]] holds their arrival times in ascending order;
+        the rest of each row is 0.0.
+        """
+        n = self.n
         if not self._pending:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
+            return np.zeros(n, dtype=np.int64), np.zeros((n, 0))
         times, volleys = zip(*self._pending)
-        return (
-            np.repeat(times, [v.shape[0] for v in volleys]),
-            np.concatenate(volleys),
-        )
+        srcs = np.concatenate(volleys)
+        times = np.repeat(times, [v.shape[0] for v in volleys])
+        order = np.lexsort((times, srcs))
+        srcs = srcs[order]
+        counts = np.bincount(srcs, minlength=n)
+        # Each pulse's column: its rank among the pulses from its source.
+        column = np.arange(srcs.shape[0]) - (np.cumsum(counts) - counts)[srcs]
+        due = np.zeros((n, int(counts.max())))
+        due[srcs, column] = times[order]
+        return counts, due
 
     def __repr__(self) -> str:
         return (

@@ -1,5 +1,7 @@
 """Synchrony verdicts, clustering, strobe sampling, audits, and trial sweeps."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,19 @@ class TestSyncVerdict:
         assert v.phase_spread <= pair_params.tol_phase
         assert v.pipeline_mismatch
         assert not v.synchronized
+
+    @pytest.mark.parametrize(
+        "offset, synchronized", [(0.01, False), (5e-10, True), (2e-9, False)]
+    )
+    def test_equal_counts_compare_arrival_times_within_tol_time(
+        self, pair_params, offset, synchronized
+    ):
+        net = pc.NetworkState(pair_params, [0.5, 0.5])
+        net.inject_pending([(0.05, 0), (0.05 + offset, 1)])
+        v = pc.is_completely_synchronized(net)
+        assert v.phase_spread == 0.0
+        assert v.pipeline_mismatch is not synchronized
+        assert v.synchronized is synchronized
 
     def test_phase_spread_helper(self):
         params = make_params(3, 0.0, 0.2)
@@ -99,6 +114,100 @@ class TestClusterPartition:
         assert part.clusters == ((0, 2), (1,))
         assert part.representative_phases[0] == pytest.approx(0.7)
         assert part.representative_phases[1] == pytest.approx(0.2)
+
+    def test_phase_tolerance_chains(self):
+        params = make_params(3, 0.0, 0.2)
+        chained = pc.NetworkState(params, [0.5, 0.5 + 0.6e-12, 0.5 + 1.2e-12])
+        assert pc.cluster_partition(chained).clusters == ((0, 1, 2),)
+        broken = pc.NetworkState(params, [0.5, 0.5 + 0.6e-12, 0.5 + 2e-12])
+        assert pc.cluster_partition(broken).clusters == ((0, 1), (2,))
+
+    def test_arrival_time_tolerance_chains_where_the_verdict_takes_a_spread(self):
+        params = make_params(4, 0.001, 0.2)
+        net = pc.NetworkState(params, [0.5] * 4)
+        net.inject_pending(
+            (0.05 + offset, s) for s, offset in enumerate([0.0, 6e-10, 1.2e-9, 3e-9])
+        )
+        assert pc.cluster_partition(net).clusters == ((0, 1, 2), (3,))
+        assert pc.is_completely_synchronized(net).pipeline_mismatch
+
+    def test_equal_arrival_times_cluster_whatever_the_index_order(self):
+        params = make_params(4, 0.001, 0.2)
+        net = pc.NetworkState(params, [0.5] * 4)
+        net.inject_pending([(0.05, 0), (0.07, 1), (0.05 + 5e-10, 2), (0.07 + 5e-10, 3)])
+        assert pc.cluster_partition(net).clusters == ((0, 2), (1, 3))
+
+    def test_pulse_counts_split_equal_phases(self):
+        params = make_params(4, 0.001, 0.2)
+        net = pc.NetworkState(params, [0.5] * 4)
+        net.inject_pending([(0.05, 0), (0.1, 0), (0.05, 1), (0.1, 1), (0.05, 2)])
+        part = pc.cluster_partition(net)
+        assert part.clusters == ((0, 1), (2,), (3,))
+        assert part.representative_phases == (0.5, 0.5, 0.5)
+        # A pulse due within tol_time of t = 0 still differs from none.
+        early = pc.NetworkState(make_params(2, 0.001, 0.2), [0.5, 0.5])
+        early.inject_pending([(5e-10, 0)])
+        assert pc.cluster_partition(early).clusters == ((0,), (1,))
+
+    @pytest.mark.parametrize("tol_phase", [None, 1e-6, 1e-3])
+    def test_matches_list_reference_on_saturated_runs(self, tol_phase):
+        # Saturated coupling: oscillators refire within one delay, so
+        # sources have several pulses in flight.
+        params = make_params(30, 0.02, 0.3)
+        most_pending = 0
+        for seed in range(4):
+            net = pc.NetworkState(params, pc.sample_phases(300 + seed, 30))
+            for _ in range(200):
+                net.step()
+                part = pc.cluster_partition(net, tol_phase=tol_phase)
+                expected = list_partition(net, tol_phase)
+                assert (part.clusters, part.representative_phases) == expected
+                pending = Counter(s for _, s in net.pipeline)
+                most_pending = max(most_pending, max(pending.values(), default=0))
+        assert most_pending >= 2
+
+
+def list_partition(state, tol_phase=None):
+    """cluster_partition with per-oscillator lists: the reference.
+
+    Sorts oscillators by phase and chains them into runs within tol_phase,
+    buckets each run by pulse count, sorts each bucket by its sorted
+    arrival-time lists and chains neighbours whose times all agree within
+    tol_time.  Returns (clusters, representative_phases).
+    """
+    if tol_phase is None:
+        tol_phase = state.params.tol_phase
+    tol_time = state.params.tol_time
+    phases = state.phases.tolist()
+    signatures = [[] for _ in phases]
+    for t, s in state.pipeline:
+        signatures[s].append(t)
+    for sig in signatures:
+        sig.sort()
+    order = sorted(range(len(phases)), key=phases.__getitem__)
+    runs = [[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        if phases[cur] - phases[prev] > tol_phase:
+            runs.append([])
+        runs[-1].append(cur)
+    clusters = []
+    for run in runs:
+        by_count = {}
+        for i in run:
+            by_count.setdefault(len(signatures[i]), []).append(i)
+        for members in by_count.values():
+            members.sort(key=signatures.__getitem__)
+            current = [members[0]]
+            for prev, cur in zip(members, members[1:]):
+                if all(abs(a - b) <= tol_time
+                       for a, b in zip(signatures[prev], signatures[cur])):
+                    current.append(cur)
+                else:
+                    clusters.append(sorted(current))
+                    current = [cur]
+            clusters.append(sorted(current))
+    clusters.sort()
+    return tuple(map(tuple, clusters)), tuple(phases[c[0]] for c in clusters)
 
 
 class TestStableClusterCount:

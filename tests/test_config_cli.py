@@ -241,11 +241,35 @@ class TestSimulateCommand:
         assert payload["final_spread"] == 0.0
         assert payload["cluster_count_final"] == 1
 
-        code, out, err = run_cli(capsys, "simulate", path, "--trials", "2")
+        # Trials need uniform draws; a band narrower than tol_phase gives
+        # every trial equal phases within tolerance at t = 0.
+        bunched = write_config(
+            base_config(n=3, horizon=5.0,
+                        init={"mode": "uniform", "low": 1.0 - 5e-13, "high": 1.0})
+        )
+        code, out, err = run_cli(capsys, "simulate", bunched, "--trials", "2")
         assert code == 0
         payload = json.loads(out)
         assert payload["sync_detected_count"] == 2
         assert payload["cluster_count_histogram"] == {"1": 2}
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_trials_flag_below_one_exits_1(self, write_config, capsys, value):
+        path = write_config(base_config(n=10, seed=3, horizon=10.0))
+        code, out, err = run_cli(capsys, "simulate", path, "--trials", value)
+        assert code == 1
+        assert "trials: must be >= 1" in err
+        assert out == ""
+
+    def test_trials_flag_rejects_explicit_init(self, write_config, capsys):
+        path = write_config(
+            base_config(n=2, horizon=5.0,
+                        init={"mode": "explicit", "phases": [0.3, 0.7]})
+        )
+        code, out, err = run_cli(capsys, "simulate", path, "--trials", "3")
+        assert code == 1
+        assert "trials: explicit init cannot vary across trials" in err
+        assert out == ""
 
     def test_requires_horizon(self, write_config, capsys):
         path = write_config(
