@@ -29,6 +29,14 @@ _NO_ARRIVALS = np.empty(0, dtype=np.int64)
 _NO_ARRIVALS.flags.writeable = False
 
 
+def next_event_time(phases, pending, now):
+    """Time of the next threshold crossing or volley arrival."""
+    t = now + (1.0 - float(phases.max()))
+    if pending and pending[0][0] < t:
+        t = pending[0][0]
+    return t
+
+
 def step_once(phases, pending, now,
               big_i, log_ratio, eps, tau, tol_time, tol_phase):
     """Advance to the next event; return (t_event, arrived, fired).
@@ -36,9 +44,7 @@ def step_once(phases, pending, now,
     arrived holds the source of every pulse consumed, in queue order.
     """
     n = phases.shape[0]
-    t_event = now + (1.0 - float(phases.max()))
-    if pending and pending[0][0] < t_event:
-        t_event = pending[0][0]
+    t_event = next_event_time(phases, pending, now)
     dt = t_event - now
     if dt < 0.0:
         raise RuntimeError("event time moved backwards; queue state is corrupt")

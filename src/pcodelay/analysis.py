@@ -17,6 +17,7 @@ engine and is the ground truth the closed form is tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from collections import Counter
@@ -225,11 +226,14 @@ def stroboscopic_run(
     Lazy: the state moves as frames are consumed, so a caller can inspect
     the live state (clusters, synchrony) between frames.
     """
+    if not 0 <= ref < state.n:
+        raise ValueError(f"ref must be in [0, {state.n}), got {ref}")
     if frames < 0:
         raise ValueError("frames must be >= 0")
+    # ref fires within one unit of time: coupling only shortens the wait.
+    reports = state.run()
     for k in range(1, frames + 1):
-        reports = state.run_until_ref_fires(ref)
-        last = reports[-1]
+        last = next(rep for rep in reports if ref in rep.fired)
         snapshot = state.phases.copy()
         snapshot[list(last.fired)] = 1.0
         yield StroboscopicFrame(k=k, t=last.event_time, phases=snapshot)
@@ -505,8 +509,7 @@ def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCli
     phases = [1.0 - state.theta] * state.p + [1.0] * state.q
     net = NetworkState(params, phases)
 
-    for _ in range(4 * n + 64):
-        rep = net.step()
+    for rep in itertools.islice(net.run(), 4 * n + 64):
         if not rep.fired:
             continue
         fired = frozenset(rep.fired)
@@ -566,24 +569,6 @@ def _synchronized(state: NetworkState) -> bool:
     )
 
 
-def _run_to_horizon(net: NetworkState, horizon: float, stop_on_sync: bool) -> bool:
-    """Step through every event up to horizon; return whether the network
-    was ever completely synchronized (at the start or after an event).
-
-    The verdict cannot change between events: phases drift rigidly and
-    nothing lands.  With stop_on_sync the run stops at the first
-    synchronized instant (a synchronized network stays synchronized);
-    otherwise, and when synchrony never comes, it ends drifted to horizon.
-    """
-    synced = _synchronized(net)
-    while not (synced and stop_on_sync) and net.next_event_time() <= horizon:
-        net.step()
-        synced = synced or _synchronized(net)
-    if not (synced and stop_on_sync):
-        net.drift_to(horizon)
-    return synced
-
-
 @dataclass(frozen=True)
 class DesyncSummary:
     """Aggregate outcome of repeated randomized runs."""
@@ -617,7 +602,9 @@ def desync_trial(
     histogram: Counter[int] = Counter()
     for index in range(trials):
         net = NetworkState(params, init_sampler(index))
-        if _run_to_horizon(net, horizon, stop_on_sync=True):
+        # any() stops the run at the first synchronized instant; a trial
+        # that never synchronizes ends drifted to the horizon.
+        if _synchronized(net) or any(_synchronized(net) for _ in net.run(horizon)):
             detected += 1
         spreads.append(phase_spread(net))
         histogram[cluster_partition(net, tol_phase=cluster_tol).n_clusters] += 1

@@ -21,15 +21,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
-from typing import Sequence, TextIO
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 from .analysis import (
     InfeasibleScenarioError,
     StructuralError,
     TwoCliqueState,
     _orbit_columns,
-    _run_to_horizon,
     _synchronized,
     audit_run,
     cluster_partition,
@@ -43,7 +44,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .curves import AssumptionReport, validate_assumptions
-from .engine import NetworkState
+from .engine import NetworkState, StepReport
 from .rng import sample_phases
 
 EXIT_OK = 0
@@ -76,8 +77,6 @@ def _json_out(payload: dict, stream: TextIO | None = None) -> None:
 
 def _finite_or_none(x: float) -> float | None:
     # JSON has no Infinity; absent-gap sentinels become null.
-    import math
-
     return x if math.isfinite(x) else None
 
 
@@ -97,11 +96,18 @@ def _prepare(args) -> tuple[RunConfig, AssumptionReport]:
     return cfg, report
 
 
-def _open_output(path: str | None):
-    """Return (stream, is_stdout); caller prints summaries to stderr if stdout."""
+@contextmanager
+def _output(args, cfg: RunConfig) -> Iterator[tuple[TextIO, TextIO]]:
+    """Yield (stream, summary): the output, to --output, else output.path,
+    else stdout; its JSON summary, to stderr if the output took stdout."""
+    path = args.output if args.output is not None else (
+        cfg.output.path if cfg.output else None
+    )
     if path is None:
-        return sys.stdout, True
-    return open(path, "w", encoding="utf-8", newline="\n"), False
+        yield sys.stdout, sys.stderr
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        yield stream, sys.stdout
 
 
 def _strobe_svg(ks: Sequence[int], phase_rows: Sequence[Sequence[float]]) -> str:
@@ -193,7 +199,10 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     net = NetworkState(cfg.params, cfg.initial_phases(0))
-    sync_ever = _run_to_horizon(net, cfg.horizon, stop_on_sync=False)
+    sync_ever = _synchronized(net)
+    for _ in net.run(cfg.horizon):
+        # The verdict cannot change between events, and once true stays true.
+        sync_ever = sync_ever or _synchronized(net)
     _json_out({
         "sync_ever": sync_ever,
         "frames_emitted": 0,
@@ -215,28 +224,22 @@ def cmd_strobe(args) -> int:
     net = NetworkState(cfg.params, cfg.initial_phases(0))
     sync_ever = _synchronized(net)
 
-    out_path = args.output if args.output is not None else (
-        cfg.output.path if cfg.output else None
-    )
+    # Without an output section, only --output can name the path.
     if cfg.output:
-        out_format = cfg.output.format
-    elif out_path is not None and out_path.lower().endswith(".svg"):
-        out_format = "svg"
+        csv = cfg.output.format == "csv"
     else:
-        out_format = "csv"
+        csv = not (args.output or "").lower().endswith(".svg")
 
     frames = cfg.strobe.frames
     # Only the trailing window of cluster counts reaches the summary, so
     # only those frames are partitioned.
     window = min(_STABLE_WINDOW, frames)
-    csv = out_format == "csv"
     # Only the SVG keeps the frames; CSV rows are written as frames are taken.
     ks: list[int] = []
     rows: list[list[float]] = []
     counts: list[int] = []
-    spreads: list[float] = []
-    stream, to_stdout = _open_output(out_path)
-    try:
+    min_spread = math.inf
+    with _output(args, cfg) as (stream, summary):
         if csv:
             stream.write(",".join(["k", "t_k"] + [f"phi_{j}" for j in range(n)]) + "\n")
         for frame in stroboscopic_run(net, cfg.strobe.ref, frames):
@@ -249,44 +252,46 @@ def cmd_strobe(args) -> int:
                 rows.append(frame.phases.tolist())
             if frame.k > frames - window:
                 counts.append(cluster_partition(net, tol_phase=cfg.cluster_tol).n_clusters)
-            spreads.append(float(frame.phases.max() - frame.phases.min()))
+            min_spread = min(min_spread, float(frame.phases.max() - frame.phases.min()))
             if not sync_ever:
                 sync_ever = _synchronized(net)
         if not csv:
             stream.write(_strobe_svg(ks, rows))
-    finally:
-        if not to_stdout:
-            stream.close()
 
     _json_out(
         {
             "sync_ever": sync_ever,
-            "frames_emitted": len(spreads),
+            "frames_emitted": frames,
             "cluster_count_final": counts[-1] if counts else None,
             "cluster_count_stable": stable_cluster_count(counts, window=window),
-            "min_frame_spread": min(spreads) if spreads else None,
+            "min_frame_spread": min_spread,
             "min_interfire_gap": _finite_or_none(net.min_interfire_gap),
             "a2_value": report.a2_value,
         },
-        stream=sys.stderr if to_stdout else sys.stdout,
+        stream=summary,
     )
     return EXIT_OK
+
+
+def _through_firings(net: NetworkState, ref: int, count: int) -> Iterator[StepReport]:
+    """net.run()'s reports up to and including ref's count-th firing (count >= 1)."""
+    for rep in net.run():
+        yield rep
+        count -= ref in rep.fired
+        if not count:
+            return
 
 
 def cmd_audit(args) -> int:
     cfg, _ = _prepare(args)
     net = NetworkState(cfg.params, cfg.initial_phases(0))
 
-    def reports():
-        # Stepped as the audit consumes them: no list of the run's reports.
-        if cfg.horizon is not None:
-            while net.next_event_time() <= cfg.horizon:
-                yield net.step()
-        else:
-            for _ in range(cfg.strobe.frames):
-                yield from net.run_until_ref_fires(cfg.strobe.ref)
-
-    audit = audit_run(reports(), cfg.params)
+    # Stepped as the audit consumes them: no list of the run's reports.
+    if cfg.horizon is not None:
+        reports = net.run(cfg.horizon)
+    else:
+        reports = _through_firings(net, cfg.strobe.ref, cfg.strobe.frames)
+    audit = audit_run(reports, cfg.params)
     _json_out({
         "events": audit.events,
         "min_interfire_gap": _finite_or_none(audit.min_interfire_gap),
@@ -328,18 +333,11 @@ def cmd_returnmap(args) -> int:
             deltas[step] = _fmt(delta)
             max_delta = delta if max_delta is None else max(max_delta, delta)
 
-    out_path = args.output if args.output is not None else (
-        cfg.output.path if cfg.output else None
-    )
-    stream, to_stdout = _open_output(out_path)
-    try:
+    with _output(args, cfg) as (stream, summary):
         # One f-string per row: the same digits as _fmt, at half the cost.
         stream.write("step,theta,p,q,oracle_delta\n")
         for s, (theta, p) in enumerate(zip(thetas, ps)):
             stream.write(f"{s},{theta:.17g},{p},{n - p},{deltas[s]}\n")
-    finally:
-        if not to_stdout:
-            stream.close()
 
     _json_out(
         {
@@ -349,7 +347,7 @@ def cmd_returnmap(args) -> int:
             "min_theta": min(thetas),
             "oracle_max_delta": max_delta,
         },
-        stream=sys.stderr if to_stdout else sys.stdout,
+        stream=summary,
     )
     return EXIT_OK
 
@@ -359,11 +357,13 @@ def cmd_counterexample(args) -> int:
     params = cfg.params
     tau = params.coupling.tau
     net, phi = matched_phase_pair(params)
-    net.run_until_time(tau)  # through the first volley's arrival
+    for _ in net.run(tau):
+        pass  # through the first volley's arrival
     net.drift_to(tau + phi / 2.0)
     mid = is_completely_synchronized(net)
     mid_spread = phase_spread(net)
-    net.run_until_time(tau + 2.0 * phi)  # past the trailing pulse's arrival
+    for _ in net.run(tau + 2.0 * phi):
+        pass  # past the trailing pulse's arrival
     after_spread = phase_spread(net)
     _json_out({
         "phi": phi,

@@ -126,6 +126,14 @@ class RunConfig:
         return sample_phases(seed, n, self.init.low, self.init.high)
 
 
+def _finite(value: int | float) -> bool:
+    """Whether value converts to a finite float (JSON integers are unbounded)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _expect(raw: dict, key: str, kind: str, path: str = ""):
     where = f"{path}.{key}" if path else key
     if key not in raw:
@@ -141,7 +149,7 @@ def _expect(raw: dict, key: str, kind: str, path: str = ""):
     }[kind]
     if not ok(value):
         raise ConfigError(f"{where}: expected {kind}, got {type(value).__name__}")
-    if kind == "number" and not math.isfinite(value):
+    if kind == "number" and not _finite(value):
         raise ConfigError(f"{where}: must be finite")
     return value
 
@@ -167,6 +175,8 @@ def parse_config(text: str) -> RunConfig:
     })
 
     n = _expect(raw, "n", "integer")
+    if n > np.iinfo(np.intp).max:  # the largest numpy array length
+        raise ConfigError(f"n: must be <= {np.iinfo(np.intp).max}")
     epsilon = _expect(raw, "epsilon", "number")
     tau = _expect(raw, "tau", "number")
     try:
@@ -230,10 +240,9 @@ def parse_config(text: str) -> RunConfig:
         for ix, value in enumerate(phases_raw):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"init.phases[{ix}]: expected number")
-            value = float(value)
-            if not 0.0 < value <= 1.0 or not math.isfinite(value):
+            if not _finite(value) or not 0.0 < value <= 1.0:
                 raise ConfigError(f"init.phases[{ix}]: must lie in (0, 1]")
-            phases.append(value)
+            phases.append(float(value))
         init = ExplicitInit(phases=tuple(phases))
     else:
         raise ConfigError(f"init.mode: expected 'uniform' or 'explicit', got {mode!r}")

@@ -27,6 +27,9 @@ no progress.  Apart from the kernel, step() does no Python work per firer: a
 few array operations keep each oscillator's last firing time for the running
 min_interfire_gap.  The state keeps no firing history; a caller that needs
 one reads it off the StepReports.
+
+run(horizon) is the one stepping loop, a lazy generator of step()'s
+reports up to the horizon; callers stop it early or stream it into audit_run.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,10 +220,7 @@ class NetworkState:
 
     def next_event_time(self) -> float:
         """Time of the next pulse arrival or threshold crossing."""
-        t = self._now + (1.0 - float(self._phases.max()))
-        if self._pending:
-            t = min(t, self._pending[0][0])
-        return t
+        return _kernel.next_event_time(self._phases, self._pending, self._now)
 
     def step(self) -> StepReport:
         """Advance to the next event and process it.
@@ -266,10 +266,10 @@ class NetworkState:
         """
         if t < self._now:
             raise ValueError(f"cannot drift backwards: now={self._now}, t={t}")
-        if t > self.next_event_time():
+        t_next = self.next_event_time()
+        if t > t_next:
             raise ValueError(
-                f"an event occurs at {self.next_event_time()} before t={t}; "
-                "step() past it first"
+                f"an event occurs at {t_next} before t={t}; step() past it first"
             )
         dt = t - self._now
         if dt > 0.0:
@@ -277,30 +277,20 @@ class NetworkState:
             np.minimum(self._phases, 1.0, out=self._phases)
             self._now = t
 
-    def run_until_time(self, horizon: float) -> list[StepReport]:
-        """Process every event with time <= horizon, then drift to horizon."""
+    def run(self, horizon: float = math.inf) -> Iterator[StepReport]:
+        """Yield step() for every event with time <= horizon, in order.
+
+        Lazy: the state advances as reports are consumed.  Once no event
+        is left at or before a finite horizon, the state drifts to it (with
+        the default horizon the run never ends); a caller that stops early
+        leaves the state at the last event it was given.  Raises ValueError
+        on the first next() if horizon precedes the current time.
+        """
         if horizon < self._now:
             raise ValueError(f"horizon {horizon} precedes current time {self._now}")
-        reports: list[StepReport] = []
         while self.next_event_time() <= horizon:
-            reports.append(self.step())
+            yield self.step()
         self.drift_to(horizon)
-        return reports
-
-    def run_until_ref_fires(self, ref: int) -> list[StepReport]:
-        """Step until oscillator ref fires; the last report contains it.
-
-        Always terminates: excitatory coupling only shortens the wait, so
-        ref fires within one unit of time.
-        """
-        if not 0 <= ref < self.n:
-            raise ValueError(f"ref must be in [0, {self.n}), got {ref}")
-        reports: list[StepReport] = []
-        while True:
-            report = self.step()
-            reports.append(report)
-            if ref in report.fired:
-                return reports
 
     # ------------------------------------------------------------------
     # pipeline editing

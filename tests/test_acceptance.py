@@ -129,7 +129,7 @@ def test_c5_randomized_parameters_keep_guarantees():
         assert pc.validate_assumptions(curve, coupling).a2_holds
         params = pc.ModelParams(curve=curve, coupling=coupling)
         net = pc.NetworkState(params, pc.sample_phases(7000 + k, n))
-        reports = net.run_until_time(10.0)
+        reports = list(net.run(10.0))
         audit = pc.audit_run(reports, params)
         violation_total += len(audit.violations)
         worst_gap_margin = min(
@@ -247,7 +247,7 @@ def test_c7_equal_phases_without_synchronization():
     )
     tau = params.coupling.tau
     net, phi = pc.matched_phase_pair(params)
-    net.run_until_time(tau)
+    list(net.run(tau))
 
     probes_equal = []
     probes_sync = []
@@ -260,7 +260,7 @@ def test_c7_equal_phases_without_synchronization():
         assert verdict.pipeline_mismatch
 
     after = net.copy()
-    after.run_until_time(tau + 2.0 * phi)
+    list(after.run(tau + 2.0 * phi))
     after_spread = pc.phase_spread(after)
 
     ok = (

@@ -44,7 +44,7 @@ class TestSyncVerdict:
 
     def test_equal_phases_mismatched_pipelines_not_synchronized(self, pair_params):
         net, phi = pc.matched_phase_pair(pair_params)
-        net.run_until_time(pair_params.coupling.tau)
+        list(net.run(pair_params.coupling.tau))
         net.drift_to(pair_params.coupling.tau + phi / 2)
         v = pc.is_completely_synchronized(net)
         assert v.phase_spread <= pair_params.tol_phase
@@ -85,14 +85,14 @@ class TestClusterPartition:
     def test_absorbed_pair_clusters_together(self, std_curve):
         params = make_params(4, 0.01, 0.1)
         net = pc.NetworkState(params, [0.85, 0.86, 0.3, 1.0])
-        net.run_until_time(6.0)
+        list(net.run(6.0))
         part = pc.cluster_partition(net)
         joint = [c for c in part.clusters if 0 in c]
         assert joint and 1 in joint[0]
 
     def test_equal_phases_split_by_pipeline_signature(self, pair_params):
         net, phi = pc.matched_phase_pair(pair_params)
-        net.run_until_time(pair_params.coupling.tau)
+        list(net.run(pair_params.coupling.tau))
         net.drift_to(pair_params.coupling.tau + phi / 2)
         part = pc.cluster_partition(net)
         assert part.n_clusters == 2
@@ -249,16 +249,19 @@ class TestStroboscopicRun:
         assert net.now == first.t > 0.0
 
     def test_ref_out_of_range(self, headline_params):
+        # Rejected before the first step, even when no frame is asked for.
         net = pc.NetworkState(headline_params, pc.sample_phases(14, 100))
-        with pytest.raises(ValueError):
-            next(pc.stroboscopic_run(net, ref=100, frames=1))
+        for ref, frames in ((100, 1), (-1, 0)):
+            with pytest.raises(ValueError, match="ref"):
+                next(pc.stroboscopic_run(net, ref=ref, frames=frames))
+        assert net.now == 0.0
 
 
 class TestAuditRun:
     def test_clean_headline_run_passes(self, headline_params):
         phases = pc.sample_phases(21, 100)
         net = pc.NetworkState(headline_params, phases)
-        reports = net.run_until_time(30.0)
+        reports = list(net.run(30.0))
         audit = pc.audit_run(reports, headline_params)
         assert audit.ok
         assert audit.gap_bound_ok
@@ -271,7 +274,7 @@ class TestAuditRun:
 
     def test_iterator_and_list_give_the_same_report(self, headline_params):
         net = pc.NetworkState(headline_params, pc.sample_phases(21, 100))
-        reports = net.run_until_time(30.0)
+        reports = list(net.run(30.0))
         audit = pc.audit_run(reports, headline_params)
         assert pc.audit_run(iter(reports), headline_params) == audit
         # A failing stream too: drop every other report.

@@ -164,6 +164,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# One JSON integer past the float range (or, for n, past the largest array
+# length) in each number field; the error must name the field.
+OVERSIZED = [
+    ("n", {"n": 10**400}),
+    ("epsilon", {"epsilon": 10**400}),
+    ("tau", {"tau": 10**400}),
+    ("horizon", {"horizon": 10**400}),
+    ("curve.i", {"curve": {"family": "ms_exponential", "i": 10**400}}),
+    ("init.phases[99]",
+     {"init": {"mode": "explicit", "phases": [0.5] * 99 + [10**400]}}),
+    ("init.high", {"init": {"mode": "uniform", "high": -(10**400)}}),
+    ("tolerances.cluster_tol", {"tolerances": {"cluster_tol": 10**400}}),
+    ("returnmap.theta",
+     {"returnmap": {"theta": 10**400, "p": 50, "q": 50, "steps": 1}}),
+]
+
+
 class TestValidateCommand:
     def test_reports_saturation_values(self, write_config, capsys):
         path = write_config(base_config())
@@ -190,6 +207,19 @@ class TestValidateCommand:
         code, out, err = run_cli(capsys, "validate", path, "--strict")
         assert code == 2
         assert "strict" in err
+
+    @pytest.mark.parametrize(
+        "field, overrides", OVERSIZED, ids=[field for field, _ in OVERSIZED]
+    )
+    def test_oversized_integer_exits_1_naming_field(
+        self, write_config, capsys, field, overrides
+    ):
+        # JSON integers are unbounded; one past the float range is a config
+        # error, not an OverflowError traceback.
+        path = write_config(base_config(**overrides))
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 1
+        assert err.startswith(f"config error: {field}: ")
 
     def test_saturation_warning_without_strict(self, write_config, capsys):
         path = write_config(base_config(epsilon=0.02, tau=0.3))

@@ -1,5 +1,6 @@
 """Event engine: stepping semantics, grouping, firing, pipeline, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ class TestArrivalSemantics:
         # once reset together, equal inputs keep the pair identical forever
         params = make_params(n=3, epsilon=0.01)
         net = pc.NetworkState(params, [0.85, 0.86, 1.0])
-        net.run_until_time(0.1)
+        list(net.run(0.1))
         for _ in range(60):
             net.step()
             assert net.phases[0] == net.phases[1]
@@ -146,30 +147,42 @@ class TestRunHelpers:
     def test_run_until_time_includes_boundary_event(self):
         # 1 - 0.5 is exact in binary, so the crossing lands exactly on the horizon
         net = pc.NetworkState(make_params(epsilon=0.0), [0.5, 0.25])
-        reports = net.run_until_time(0.5)
+        reports = list(net.run(0.5))
         assert [r.event_time for r in reports] == [0.5]
         assert reports[0].fired == (0,)
         assert net.now == 0.5
 
     def test_run_until_time_drifts_to_horizon(self):
         net = pc.NetworkState(make_params(epsilon=0.0), [0.5, 0.9])
-        net.run_until_time(0.75)
+        list(net.run(0.75))
         assert net.now == 0.75
         assert net.phases[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_run_until_time_rejects_past(self):
         net = pc.NetworkState(make_params(), [0.5, 0.9])
-        net.run_until_time(1.0)
+        list(net.run(1.0))
         with pytest.raises(ValueError):
-            net.run_until_time(0.5)
+            list(net.run(0.5))
+        assert net.now == 1.0
 
-    def test_run_until_ref_fires(self):
+    def test_run_stopped_at_ref_firing_does_not_drift(self):
         net = pc.NetworkState(make_params(), [0.5, 0.9])
-        reports = net.run_until_ref_fires(0)
+        reports = []
+        for report in net.run(5.0):
+            reports.append(report)
+            if 0 in report.fired:
+                break
         assert 0 in reports[-1].fired
         assert all(0 not in r.fired for r in reports[:-1])
-        with pytest.raises(ValueError):
-            net.run_until_ref_fires(5)
+        assert net.now == reports[-1].event_time < 5.0
+
+    def test_run_without_horizon_is_lazy(self):
+        net = pc.NetworkState(make_params(), [0.5, 0.9])
+        run = net.run()
+        assert net.now == 0.0
+        reports = list(itertools.islice(run, 7))
+        assert len(reports) == 7
+        assert net.now == reports[-1].event_time
 
     def test_drift_to_guards(self):
         net = pc.NetworkState(make_params(), [0.5, 0.9])
@@ -258,7 +271,7 @@ class TestPipeline:
 
     def test_copies_keep_their_own_pipeline(self, headline_params):
         net = pc.NetworkState(headline_params, pc.sample_phases(5, 100))
-        net.run_until_time(3.0)
+        list(net.run(3.0))
         dup = net.copy()
         before = net.pipeline
         assert before and dup.pipeline == before
@@ -280,7 +293,7 @@ class TestPipeline:
         spikes = [(0.001 + 0.0009 * k, k % 3) for k in range(100)]
         net.inject_pending(spikes)
         assert len(net.pipeline) == 100
-        net.run_until_time(2.0)
+        list(net.run(2.0))
         assert len(net.pipeline) <= 3
         assert np.all(net.phases >= 0.0) and np.all(net.phases <= 1.0)
 
@@ -289,7 +302,7 @@ class TestDeterminismAndLogs:
     def test_bit_identical_reruns(self, headline_params):
         def run():
             net = pc.NetworkState(headline_params, pc.sample_phases(9, 100))
-            reports = net.run_until_time(20.0)
+            reports = list(net.run(20.0))
             return net, reports
 
         a, ra = run()
@@ -300,21 +313,21 @@ class TestDeterminismAndLogs:
 
     def test_copy_is_independent(self, headline_params):
         net = pc.NetworkState(headline_params, pc.sample_phases(5, 100))
-        net.run_until_time(3.0)
+        list(net.run(3.0))
         dup = net.copy()
         assert np.array_equal(net.phases, dup.phases)
         assert net.pipeline == dup.pipeline
         assert dup.min_interfire_gap == net.min_interfire_gap
-        ahead = net.run_until_time(5.0)
+        ahead = list(net.run(5.0))
         assert dup.now == 3.0
-        assert dup.run_until_time(5.0) == ahead
+        assert list(dup.run(5.0)) == ahead
         assert np.array_equal(net.phases, dup.phases)
         assert net.min_interfire_gap == dup.min_interfire_gap
 
     def test_every_oscillator_fires_repeatedly(self, headline_params):
         # period is at most one unit, so 10 units yield at least 9 firings each
         net = pc.NetworkState(headline_params, pc.sample_phases(17, 100))
-        reports = net.run_until_time(10.0)
+        reports = list(net.run(10.0))
         fired = [i for r in reports for i in r.fired]
         assert np.bincount(fired, minlength=100).min() >= 9
 

@@ -34,16 +34,29 @@ def make_net(n, epsilon, seed):
     return pc.NetworkState(params, pc.sample_phases(seed=seed, n=n))
 
 
-@pytest.mark.parametrize("key", sorted(STREAMS), ids=["headline", "n1000"])
-def test_event_stream_digest(key):
+def step_loop(net, horizon):
+    while net.next_event_time() <= horizon:
+        yield net.step()
+
+
+# Both drivers must give the same stream; the step() loop keeps the ids
+# "headline" and "n1000".
+DRIVEN = [
+    pytest.param(key, drive, id=name + suffix)
+    for drive, suffix in ((step_loop, ""), (pc.NetworkState.run, "-run"))
+    for key, name in zip(sorted(STREAMS), ("headline", "n1000"))
+]
+
+
+@pytest.mark.parametrize("key, drive", DRIVEN)
+def test_event_stream_digest(key, drive):
     n, epsilon, seed, horizon = key
     events, big, digest = STREAMS[key]
     net = make_net(n, epsilon, seed)
     h = hashlib.sha256()
     count = volleys = 0
     reports = []
-    while net.next_event_time() <= horizon:
-        rep = net.step()
+    for rep in drive(net, horizon):
         reports.append(rep)
         assert type(rep.fired) is tuple and type(rep.arrival_sources) is tuple
         assert all(type(i) is int for i in rep.fired + rep.arrival_sources)
@@ -59,13 +72,13 @@ def test_event_stream_digest(key):
 def test_min_interfire_gap_matches_fire_log_across_copy(headline_params):
     net = pc.NetworkState(headline_params, pc.sample_phases(seed=7, n=100))
     assert net.min_interfire_gap == float("inf")
-    head = net.run_until_time(5.0)
+    head = list(net.run(5.0))
     before = net.min_interfire_gap
     assert before == audit_run(head, headline_params).min_interfire_gap < float("inf")
     dup = net.copy()
     assert dup.min_interfire_gap == before
-    tail = net.run_until_time(30.0)
-    assert dup.run_until_time(30.0) == tail
+    tail = list(net.run(30.0))
+    assert list(dup.run(30.0)) == tail
     whole = audit_run(head + tail, headline_params).min_interfire_gap
     assert dup.min_interfire_gap == net.min_interfire_gap == whole <= before
 
@@ -74,5 +87,5 @@ def test_min_interfire_gap_when_absorption_merges_different_histories():
     # Here a volley pushes oscillators with different last firing times over
     # threshold together; the smallest gap belongs to the latest of them.
     net = make_net(5, 0.02, 13)
-    reports = net.run_until_time(20.0)
+    reports = list(net.run(20.0))
     assert net.min_interfire_gap == audit_run(reports, net.params).min_interfire_gap
