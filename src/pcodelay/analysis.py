@@ -84,9 +84,8 @@ class SyncVerdict:
 
 
 def phase_spread(state: NetworkState) -> float:
-    """Largest minus smallest phase."""
-    ph = state.phases
-    return float(ph.max() - ph.min())
+    """Largest minus smallest phase; the largest is the state's cached top."""
+    return state.top - float(state.phases.min())
 
 
 def is_completely_synchronized(state: NetworkState) -> SyncVerdict:
@@ -233,10 +232,13 @@ def stroboscopic_run(
     # ref fires within one unit of time: coupling only shortens the wait.
     reports = state.run()
     for k in range(1, frames + 1):
-        last = next(rep for rep in reports if ref in rep.fired)
+        for rep in reports:
+            fired = rep.fired
+            if ref in fired:
+                break
         snapshot = state.phases.copy()
-        snapshot[list(last.fired)] = 1.0
-        yield StroboscopicFrame(k=k, t=last.event_time, phases=snapshot)
+        snapshot[list(fired)] = 1.0
+        yield StroboscopicFrame(k=k, t=rep.event_time, phases=snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -296,22 +298,23 @@ def audit_run(
     for rep in reports:
         events += 1
         t = rep.event_time
-        for s in rep.arrival_sources:
+        sources = rep.arrival_sources
+        for s in sources:
             pend[s] -= 1
             if pend[s] < 0:
                 violations.append(
-                    f"pulse from {s} consumed at t={rep.event_time} was never scheduled"
+                    f"pulse from {s} consumed at t={t} was never scheduled"
                 )
                 pend[s] = 0
-        arrived = set(rep.arrival_sources)
+        arrived = set(sources)
         for i in rep.fired:
             if pend[i] > 0:
                 violations.append(
-                    f"oscillator {i} fired at t={rep.event_time} with its own pulse pending"
+                    f"oscillator {i} fired at t={t} with its own pulse pending"
                 )
             if i in arrived:
                 violations.append(
-                    f"oscillator {i} fired at t={rep.event_time} in the same event "
+                    f"oscillator {i} fired at t={t} in the same event "
                     "its own pulse arrived"
                 )
             # the firer's own pulse, due at event_time + tau

@@ -110,13 +110,20 @@ def _output(args, cfg: RunConfig) -> Iterator[tuple[TextIO, TextIO]]:
         yield stream, sys.stdout
 
 
-def _strobe_svg(ks: Sequence[int], phase_rows: Sequence[Sequence[float]]) -> str:
-    """Minimal static scatter of phases against frame index."""
-    width, height = 860, 520
-    left, right, top, bottom = 60, 20, 20, 40
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    kmax = max(ks) if ks else 1
+# The strobe SVG: a minimal static scatter of phases against frame index,
+# written as a head, one group of circles per frame and a closing tag, so
+# that no frame is kept once it is drawn.
+_SVG_W, _SVG_H = 860, 520
+_SVG_LEFT, _SVG_TOP = 60, 20
+_SVG_PLOT_W = _SVG_W - _SVG_LEFT - 20
+_SVG_PLOT_H = _SVG_H - _SVG_TOP - 40
+
+
+def _strobe_svg_head() -> str:
+    """Everything before the first frame: canvas, axes, ticks, labels."""
+    width, height = _SVG_W, _SVG_H
+    left, top = _SVG_LEFT, _SVG_TOP
+    plot_w, plot_h = _SVG_PLOT_W, _SVG_PLOT_H
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -142,13 +149,17 @@ def _strobe_svg(ks: Sequence[int], phase_rows: Sequence[Sequence[float]]) -> str
         f'<text x="16" y="{top + plot_h / 2}" font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 16 {top + plot_h / 2})">phase</text>'
     )
-    for k, row in zip(ks, phase_rows):
-        x = left + plot_w * (k / kmax)
-        for phi in row:
-            y = top + plot_h * (1.0 - phi)
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="black"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "".join(part + "\n" for part in parts)
+
+
+def _strobe_svg_frame(k: int, frames: int, phases: Sequence[float]) -> str:
+    """The circles of frame k of frames, one line each."""
+    x = _SVG_LEFT + _SVG_PLOT_W * (k / frames)
+    return "".join(
+        f'<circle cx="{x:.2f}" cy="{_SVG_TOP + _SVG_PLOT_H * (1.0 - phi):.2f}" '
+        'r="1.2" fill="black"/>\n'
+        for phi in phases
+    )
 
 
 # ----------------------------------------------------------------------
@@ -234,29 +245,28 @@ def cmd_strobe(args) -> int:
     # Only the trailing window of cluster counts reaches the summary, so
     # only those frames are partitioned.
     window = min(_STABLE_WINDOW, frames)
-    # Only the SVG keeps the frames; CSV rows are written as frames are taken.
-    ks: list[int] = []
-    rows: list[list[float]] = []
     counts: list[int] = []
     min_spread = math.inf
     with _output(args, cfg) as (stream, summary):
+        # Each frame is written as it is taken.
         if csv:
             stream.write(",".join(["k", "t_k"] + [f"phi_{j}" for j in range(n)]) + "\n")
+        else:
+            stream.write(_strobe_svg_head())
         for frame in stroboscopic_run(net, cfg.strobe.ref, frames):
             if csv:
                 # One f-string per row: the same digits as _fmt.
                 phis = ",".join([format(x, ".17g") for x in frame.phases.tolist()])
                 stream.write(f"{frame.k},{frame.t:.17g},{phis}\n")
             else:
-                ks.append(frame.k)
-                rows.append(frame.phases.tolist())
+                stream.write(_strobe_svg_frame(frame.k, frames, frame.phases.tolist()))
             if frame.k > frames - window:
                 counts.append(cluster_partition(net, tol_phase=cfg.cluster_tol).n_clusters)
             min_spread = min(min_spread, float(frame.phases.max() - frame.phases.min()))
             if not sync_ever:
                 sync_ever = _synchronized(net)
         if not csv:
-            stream.write(_strobe_svg(ks, rows))
+            stream.write("</svg>\n")
 
     _json_out(
         {

@@ -23,10 +23,13 @@ event sends its pulse after the same delay, so the queue is a deque of
 (arrival_time, sources) pairs in arrival order.  The per-event work lives in
 the numpy kernel _kernel.step_once, which pops the volleys due and appends
 the new one; step() wraps it and raises RuntimeError on an event that makes
-no progress.  Apart from the kernel, step() does no Python work per firer: a
-few array operations keep each oscillator's last firing time for the running
+no progress.  The state caches its largest phase (top), which the kernel
+keeps exact, so finding the next event costs no pass over the phases.
+Apart from the kernel, step() does no Python work per firer: a few array
+operations keep each oscillator's last firing time for the running
 min_interfire_gap.  The state keeps no firing history; a caller that needs
-one reads it off the StepReports.
+one reads it off the StepReports, which hold the kernel's read-only arrays
+and build their tuples only when first read.
 
 run(horizon) is the one stepping loop, a lazy generator of step()'s
 reports up to the horizon; callers stop it early or stream it into audit_run.
@@ -79,7 +82,10 @@ class PendingSpike(NamedTuple):
     source: int
 
 
-@dataclass(frozen=True)
+def _ints(v: tuple[int, ...] | np.ndarray) -> tuple[int, ...]:
+    return v if type(v) is tuple else tuple(v.tolist())
+
+
 class StepReport:
     """What one event did.
 
@@ -87,11 +93,56 @@ class StepReport:
     (duplicates possible only if duplicates were injected); fired lists the
     oscillators that reached threshold, in index order.  Each firer's
     outgoing pulse is due at exactly event_time + tau.
+
+    Both are tuples of ints, but step() hands over the kernel's read-only
+    int64 arrays and each tuple is built on first access, so a run whose
+    reports are never read builds none.  Reports are immutable and compare,
+    hash and print by (event_time, arrival_sources, fired), however they
+    were built.
     """
 
-    event_time: float
-    arrival_sources: tuple[int, ...]
-    fired: tuple[int, ...]
+    __slots__ = ("_event_time", "_arrival_sources", "_fired")
+
+    def __init__(
+        self,
+        event_time: float,
+        arrival_sources: tuple[int, ...] | np.ndarray,
+        fired: tuple[int, ...] | np.ndarray,
+    ) -> None:
+        self._event_time = event_time
+        self._arrival_sources = arrival_sources
+        self._fired = fired
+
+    @property
+    def event_time(self) -> float:
+        return self._event_time
+
+    @property
+    def arrival_sources(self) -> tuple[int, ...]:
+        v = self._arrival_sources = _ints(self._arrival_sources)
+        return v
+
+    @property
+    def fired(self) -> tuple[int, ...]:
+        v = self._fired = _ints(self._fired)
+        return v
+
+    def _key(self) -> tuple:
+        return (self._event_time, self.arrival_sources, self.fired)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"StepReport(event_time={self._event_time!r}, "
+            f"arrival_sources={self.arrival_sources!r}, fired={self.fired!r})"
+        )
 
 
 class NetworkState:
@@ -128,6 +179,8 @@ class NetworkState:
         self.params = params
         self._now = 0.0
         self._phases = phases
+        # Largest phase, kept equal to phases.max() by every change.
+        self._top = float(phases.max())
         # Volleys (arrival_time, read-only int64 sources), in arrival order.
         self._pending: deque[tuple[float, np.ndarray]] = deque()
         self._big_i = params.curve.i
@@ -152,6 +205,11 @@ class NetworkState:
         view = self._phases.view()
         view.flags.writeable = False
         return view
+
+    @property
+    def top(self) -> float:
+        """The largest phase, cached: equal to phases.max() at every instant."""
+        return self._top
 
     @property
     def pipeline(self) -> tuple[PendingSpike, ...]:
@@ -208,6 +266,7 @@ class NetworkState:
         dup.params = self.params
         dup._now = self._now
         dup._phases = self._phases.copy()
+        dup._top = self._top
         dup._pending = deque(self._pending)
         dup._big_i = self._big_i
         dup._log_ratio = self._log_ratio
@@ -220,7 +279,7 @@ class NetworkState:
 
     def next_event_time(self) -> float:
         """Time of the next pulse arrival or threshold crossing."""
-        return _kernel.next_event_time(self._phases, self._pending, self._now)
+        return _kernel.next_event_time(self._top, self._pending, self._now)
 
     def step(self) -> StepReport:
         """Advance to the next event and process it.
@@ -231,8 +290,8 @@ class NetworkState:
         again would repeat the same empty event forever.
         """
         coupling = self.params.coupling
-        t_event, arrived, fired = _kernel.step_once(
-            self._phases, self._pending, self._now,
+        t_event, self._top, arrived, fired = _kernel.step_once(
+            self._phases, self._top, self._pending, self._now,
             self._big_i, self._log_ratio,
             coupling.epsilon, coupling.tau,
             self.params.tol_time, self.params.tol_phase,
@@ -251,11 +310,7 @@ class NetworkState:
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
                 "the clock is too coarse to reach threshold"
             )
-        return StepReport(
-            event_time=t_event,
-            arrival_sources=tuple(arrived.tolist()),
-            fired=tuple(fired.tolist()),
-        )
+        return StepReport(t_event, arrived, fired)
 
     def drift_to(self, t: float) -> None:
         """Advance the clock to t with no intervening event.
@@ -273,8 +328,7 @@ class NetworkState:
             )
         dt = t - self._now
         if dt > 0.0:
-            self._phases += dt
-            np.minimum(self._phases, 1.0, out=self._phases)
+            self._top = _kernel.drift(self._phases, self._top, dt)
             self._now = t
 
     def run(self, horizon: float = math.inf) -> Iterator[StepReport]:

@@ -434,6 +434,23 @@ class TestStrobeCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
         assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
+    def test_strobe_svg_output_digest(self, write_config, tmp_path, capsys):
+        # SHA-256 of the SVG and of its summary on stdout, computed while
+        # cmd_strobe kept every frame and built the SVG as one string.  The
+        # summary is the CSV run's ("uniform" above).
+        out_path = tmp_path / "frames.svg"
+        cfg = base_config(horizon=None, strobe={"ref": 0, "frames": 200})
+        code, out, err = run_cli(
+            capsys, "strobe", write_config(cfg), "--output", str(out_path)
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "3355a05280e2549d57e5240501d31202b0d663cc79723241b555548a2b089fb3"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b95ea8038463857d466348ed8c671434fe0b6a3f5351020ee8caa55f816d3a86"
+        )
+
 
 class TestAuditCommand:
     def test_clean_run_exits_0(self, write_config, capsys):

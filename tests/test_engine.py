@@ -353,3 +353,124 @@ class TestZeroProgressGuard:
         with pytest.raises(RuntimeError, match="no pulse and fired nobody"):
             for _ in range(100):
                 net.step()
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+class TestCachedTop:
+    """NetworkState.top is phases.max(), bit for bit, after every change."""
+
+    def assert_top(self, net):
+        assert bits(net.top) == bits(net.phases.max())
+        spread = pc.phase_spread(net)
+        assert bits(spread) == bits(net.phases.max() - net.phases.min())
+
+    def run_checked(self, net, horizon):
+        for _ in net.run(horizon):  # step() after step()
+            self.assert_top(net)
+        self.assert_top(net)  # drifted to the horizon
+
+    def test_headline_run(self, headline_params):
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        self.assert_top(net)
+        self.run_checked(net, 20.0)
+        dup = net.copy()
+        self.assert_top(dup)
+        self.run_checked(dup, 40.0)
+        self.assert_top(net)  # untouched by its copy's steps
+
+    def test_saturated_run(self):
+        # Most arrivals here push some receiver to y >= 1.
+        net = pc.NetworkState(make_params(n=30, epsilon=0.02), pc.sample_phases(7, 30))
+        self.run_checked(net, 30.0)
+
+    def test_late_non_round_time_takes_the_clip_branch(self, headline_params):
+        # Away from t = 0, drifting by next_event_time() - now can overshoot
+        # the threshold by rounding; the clip back to 1.0 must keep top
+        # exact, both in step() and in drift_to().  Counted once: the clip
+        # runs 107 times in step() on the way to t = 37.7731, then 32 times
+        # in the drift_to() calls of the loop.
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        list(net.run(37.7731))
+        self.assert_top(net)
+        for _ in range(300):
+            net.drift_to(net.next_event_time())
+            self.assert_top(net)
+            net.step()
+            self.assert_top(net)
+
+    def test_inject_pending_keeps_top(self):
+        net = pc.NetworkState(make_params(n=4), [0.5, 0.9, 0.2, 0.7])
+        top = net.top
+        net.inject_pending([(0.05, 1), (0.08, 2)])
+        assert net.top == top
+        self.assert_top(net)
+        self.run_checked(net, 3.0)
+
+
+class TestStepReport:
+    def test_report_from_run_equals_one_built_from_tuples(self):
+        net = pc.NetworkState(make_params(n=4), [0.5, 1.0, 1.0, 0.3])
+        net.inject_pending([(0.1, 3), (0.1, 0)])
+        first, second = itertools.islice(net.run(), 2)
+        # Three volleys at once, in queue order: the injected single-source
+        # ones, then the live one; the kernel concatenates them.
+        assert len(second._arrival_sources) == 4
+        for rep in (first, second):
+            assert not rep._arrival_sources.flags.writeable
+            assert not rep._fired.flags.writeable
+        built = (
+            pc.StepReport(event_time=0.0, arrival_sources=(), fired=(1, 2)),
+            pc.StepReport(event_time=0.1, arrival_sources=(0, 3, 1, 2), fired=()),
+        )
+        for rep, ref in zip((first, second), built):
+            assert rep == ref and ref == rep
+            assert hash(rep) == hash(ref)
+            assert repr(rep) == repr(ref)
+            assert type(rep.fired) is tuple and type(rep.arrival_sources) is tuple
+            assert rep.fired is rep.fired  # built once, then kept
+        assert first != second
+        assert len({first, second, *built}) == 2
+        assert repr(built[0]) == (
+            "StepReport(event_time=0.0, arrival_sources=(), fired=(1, 2))"
+        )
+
+    def test_reports_are_read_only(self):
+        rep = pc.NetworkState(make_params(), [0.5, 1.0]).step()
+        for name in ("event_time", "arrival_sources", "fired", "other"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, ())
+
+    def test_consumers_read_each_tuple_once_per_report(self, monkeypatch, headline_params):
+        reads = []
+
+        class Counted(pc.StepReport):
+            __slots__ = ()
+
+            @property
+            def arrival_sources(self):
+                reads.append(("arrival_sources", self))
+                return super().arrival_sources
+
+            @property
+            def fired(self):
+                reads.append(("fired", self))
+                return super().fired
+
+        monkeypatch.setattr(pc.engine, "StepReport", Counted)
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        reports = list(net.run(3.0))
+        assert reports and not reads
+        pc.audit_run(reports, headline_params)
+        assert [(name, id(rep)) for name, rep in reads] == [
+            (name, id(rep)) for rep in reports for name in ("arrival_sources", "fired")
+        ]
+
+        reads.clear()
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        frames = list(pc.stroboscopic_run(net, ref=0, frames=3))
+        assert len(frames) == 3
+        assert [name for name, _ in reads] == ["fired"] * len(reads)
+        assert len({id(rep) for _, rep in reads}) == len(reads)  # none read twice
