@@ -8,6 +8,12 @@ the third with the kernel that clipped and scanned the phases at every event
 and negated in separate buffers.  In that third, saturated run (the
 saturation check fails), 518 of the 539 events push some receiver to
 y >= 1, so it guards the kernel's saturation branch.
+
+SET_DIGESTS guard the same streams at the level of sets: the SHA-256 of
+(len(arrival_sources), arrival_sources, len(fired), fired) for every event,
+packed as little-endian int64.  They hold no time or phase bits, so they
+stay fixed under any change of the engine's arithmetic that keeps every
+event's sources and firers.  They were computed with the phase-space kernel.
 """
 
 import hashlib
@@ -30,6 +36,15 @@ STREAMS = {
     (30, 0.02, 7, 50.0): (
         539, 0, "0d07053b3cd7a4342a9683b2c21ad5d6ba3a05136ee6c88dabcb68b45aef8805",
     ),
+}
+
+SET_DIGESTS = {
+    (100, 0.001, 7, 100.0):
+        "34e5027bc94f53fb89e87242d28cb72ed87900c05d76c0c779faeeb4a7d9da8d",
+    (1000, 1e-4, 7, 15.0):
+        "1389abdbc8ac01bb07a942bc50b1003955b4ac30d28f5e8df1de0ba9a0cb6b3c",
+    (30, 0.02, 7, 50.0):
+        "4eb980db650462914b8f826f8d487e65867603586168edbf72c5e7cdf8e61519",
 }
 
 
@@ -61,6 +76,7 @@ def test_event_stream_digest(key, drive):
     events, big, digest = STREAMS[key]
     net = make_net(n, epsilon, seed)
     h = hashlib.sha256()
+    sets = hashlib.sha256()
     count = volleys = 0
     reports = []
     for rep in drive(net, horizon):
@@ -69,9 +85,13 @@ def test_event_stream_digest(key, drive):
         assert all(type(i) is int for i in rep.fired + rep.arrival_sources)
         h.update(struct.pack("<dq", rep.event_time, len(rep.fired)))
         h.update(np.asarray(rep.fired, dtype=np.int64).tobytes())
+        for ids in (rep.arrival_sources, rep.fired):
+            sets.update(struct.pack("<q", len(ids)))
+            sets.update(np.asarray(ids, dtype=np.int64).tobytes())
         count += 1
         volleys += len(rep.fired) >= 100
     assert (count, volleys) == (events, big)
+    assert sets.hexdigest() == SET_DIGESTS[key]
     assert h.hexdigest() == digest
     assert net.min_interfire_gap == audit_run(reports, net.params).min_interfire_gap
 
