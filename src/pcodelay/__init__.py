@@ -8,7 +8,9 @@ Layers, bottom up:
     config    JSON run configurations
     cli       command-line front end (also exposed as `python -m pcodelay`)
 
-The per-event inner loop is one numpy kernel (_kernel.step_once).
+The per-event inner loop is one grouped kernel (_kernel.step_once): oscillators
+of equal phase form groups in an affine frame, so an event costs O(groups
+touched), not O(n).
 """
 
 from .analysis import (

@@ -1,116 +1,312 @@
-"""Event-step kernel (numpy): the hot loop of NetworkState.step.
+"""Grouped event kernel: the state and the hot loop of NetworkState.step.
 
-One call advances the network to the next grouped event: drift every phase
-to the event instant, apply all pulse arrivals within tol_time of it, detect
-threshold crossings, reset the firers and append their delayed pulses to the
-queue.
+Write u = exp(a * phase), with a = curves.log_ratio < 0, so that
+u = 1 - f(phase) / I.  Drifting by dt multiplies every u by exp(a * dt),
+and m pulses subtract m * epsilon / I from a receiver's u.  Both updates are
+the same for every oscillator that is not a source of the pulses, so the
+state is affine in one frame shared by the whole network:
 
-The queue is a deque of volleys (arrival_time, sources) in arrival order,
-one per firing event, holding its firers.  It stays time-sorted without
-explicit sorting: every new volley is scheduled at event_time + tau, which
-is no earlier than any pending one because pending arrivals all lie within
-tau of the current time.  Queued source arrays are read-only, so copies of
-a state may share them.
+    u_i = alpha * (v_i + gamma),   alpha = exp(a * s),   v_i = exp(a * w_i),
 
-The caller keeps top, the largest phase, and passes it in; step_once
-returns it updated and exact (bit-equal to phases.max()).  With it the next
-event time is O(1), and two passes over the phases run only when top shows
-they change something: the clip at 1.0 after a drift (rounding is monotone,
-so fl(top + dt) is the drifted maximum) and the firing scan (nobody can
-fire while top < 1 - tol_phase).  A max is taken only after the arrivals
-and after the resets, the two steps that can lower or raise the phases
-arbitrarily.
+where s = now - epoch is the drift since the frame began.  A drift moves
+only the clock; an arrival of k pulses lowers gamma by k * epsilon / (I *
+alpha) and raises v by epsilon / (I * alpha) per own pulse for its sources
+only; a reset sets u = 1.  A group's phase is therefore
+
+    phase = s + log(exp(a * w) + gamma) / a,   or s + w while gamma == 0,
+
+so w is the group's phase at the epoch, corrected for the pulses it did not
+share with the rest.  The second form keeps a network that absorbed nothing
+since the epoch exact: initial phases read back bit for bit and pure drift
+adds time like the phase-space model.  When alpha would fall below 1e-3 the
+frame is renormalized: every w becomes the group's current phase and the
+epoch moves to now.
+
+Oscillators that share w bit for bit form a group.  Groups are kept in three
+parallel deques ordered by ascending w: index -1 is the front (the highest
+phase, next to fire) and index 0 the back.  Each group has a read-only
+member array and the time all its members last fired.  Firing pops groups
+from the front and appends one merged group at the back.  An arriving volley
+whose sources are still exactly one group moves that group back by a
+bisection over w.  Any other volley (injected pulses, duplicates, or a group
+that fired again within the delay) splits the groups it touches on demand.
+The cost of an event is therefore O(groups touched), independent of n.
+
+The queue is a deque of volleys (arrival_time, sources, link) in arrival
+order, one per firing event.  link is the w its source group had when it
+was reset, or None for injected pulses; the arriving volley takes the fast
+path when a group with that w still holds exactly its sources.  Every new
+volley is due at event_time + tau, no earlier than any pending one, so the
+queue stays sorted without sorting.
 
 Contract:
-  - phases are mutated in place and stay in [0, 1];
-  - top goes in equal to phases.max() and comes out equal to it;
+  - phases read through phase() and phases() lie in [0, 1]; a group reset
+    at the current instant reads exactly 0.0;
+  - phase(-1) is the largest phase and phase(0) the smallest, bit-equal to
+    the maximum and minimum of phases();
   - an oscillator never receives its own pulse (m_i = arrivals from others);
-  - a receiver pushed to or past threshold is set to exactly 1.0 so the
-    firing scan picks it up in the same event;
-  - the returned arrived and fired arrays are read-only.
+  - a receiver pushed to or past threshold fires in the same event;
+  - the returned arrived and fired arrays are read-only, fired ascending.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from bisect import bisect_left, bisect_right
+from collections import deque
 
+import numpy as np
 
 # The arrivals or firers of an event that has none.
 _NONE = np.empty(0, dtype=np.int64)
 _NONE.flags.writeable = False
 
+# What fire() returns when nobody fires.
+_QUIET = (_NONE, -math.inf, 0.0)
 
-def next_event_time(top, pending, now):
-    """Time of the next threshold crossing or volley arrival."""
-    t = now + (1.0 - top)
-    if pending and pending[0][0] < t:
-        t = pending[0][0]
-    return t
+# The frame is renormalized before alpha = exp(a * s) drops below this.
+_ALPHA_MIN = 1e-3
 
 
-def drift(phases, top, dt):
-    """Advance every phase by dt > 0, capped at 1.0; return the new top."""
-    phases += dt
-    top += dt
-    if top > 1.0:
-        np.minimum(phases, 1.0, out=phases)
-        top = 1.0
-    return top
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def step_once(phases, top, pending, now,
-              big_i, log_ratio, eps, tau, tol_time, tol_phase):
-    """Advance to the next event; return (t_event, top, arrived, fired).
+class Groups:
+    """The clock, the affine frame and the groups of equal phase.
 
-    arrived holds the source of every pulse consumed, in queue order.
+    Built from validated phases in (0, 1].  Construction builds no array per
+    group: an initial group's members entry is None, and its members are a
+    run of one sorted index array, found from its w, which stays its
+    initial phase until the first renormalization turns every such entry
+    into its array.
     """
-    n = phases.shape[0]
-    t_event = next_event_time(top, pending, now)
-    dt = t_event - now
-    if dt < 0.0:
+
+    __slots__ = (
+        "n", "a", "s_max", "now", "epoch", "gamma",
+        "w", "members", "last", "_w0", "_order", "_bounds",
+    )
+
+    def __init__(self, phases: np.ndarray, a: float) -> None:
+        n = phases.shape[0]
+        order = np.argsort(phases)
+        ranked = phases[order]
+        cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+        if cuts.shape[0] + 1 < n:
+            # Equal phases: list each group's members in index order.
+            order = np.argsort(phases, kind="stable")
+        self.n = n
+        self.a = a
+        self.s_max = math.log(_ALPHA_MIN) / a
+        self.now = 0.0
+        self.epoch = 0.0
+        self.gamma = 0.0
+        self._w0 = ranked[np.concatenate(([0], cuts))]
+        self._order = _read_only(order)
+        self._bounds = np.concatenate(([0], cuts, [n]))
+        self.w = deque(self._w0.tolist())
+        self.members = deque([None]) * self._w0.shape[0]
+        self.last = deque([-math.inf]) * self._w0.shape[0]
+
+    def copy(self) -> "Groups":
+        dup = object.__new__(Groups)
+        for name in self.__slots__:
+            setattr(dup, name, getattr(self, name))
+        dup.w = deque(self.w)
+        dup.members = deque(self.members)
+        dup.last = deque(self.last)
+        return dup
+
+    # ------------------------------------------------------------------
+    # reading phases
+
+    def _phase(self, w: float) -> float:
+        """The phase of a group with this w, clamped to [0, 1]."""
+        if self.gamma == 0.0:
+            p = (self.now - self.epoch) + w
+        else:
+            x = math.exp(self.a * w) + self.gamma
+            if x <= 0.0:
+                return 1.0
+            p = (self.now - self.epoch) + math.log(x) / self.a
+        return 0.0 if p <= 0.0 else (1.0 if p > 1.0 else p)
+
+    def phase(self, i: int) -> float:
+        """The phase of the group at index i (-1: front, 0: back)."""
+        if self.last[i] == self.now:
+            return 0.0  # reset at this instant
+        return self._phase(self.w[i])
+
+    def _initial(self, w: float) -> np.ndarray:
+        """The members of the initial group whose w is still its phase."""
+        j = int(np.searchsorted(self._w0, w))
+        return self._order[self._bounds[j]:self._bounds[j + 1]]
+
+    def _arrays(self) -> list[np.ndarray]:
+        """Every group's member array, back to front."""
+        return [
+            self._initial(w) if m is None else m for w, m in zip(self.w, self.members)
+        ]
+
+    def phases(self) -> np.ndarray:
+        """All n phases, materialized from the groups."""
+        arrays = self._arrays()
+        values = [
+            0.0 if t == self.now else self._phase(w) for w, t in zip(self.w, self.last)
+        ]
+        out = np.empty(self.n)
+        out[np.concatenate(arrays)] = np.repeat(values, [a.shape[0] for a in arrays])
+        return out
+
+    # ------------------------------------------------------------------
+    # changing the state
+
+    def renormalize(self, pending: deque) -> None:
+        """Start a new frame at now: every w becomes its group's phase.
+
+        The phases read the same before and after.  Volley links are mapped
+        by the same function, so they still match their groups bit for bit.
+        """
+        remap = self._phase
+        self.members = deque(self._arrays())
+        self.w = deque(map(remap, self.w))
+        links = [(t, src, None if link is None else remap(link)) for t, src, link in pending]
+        pending.clear()
+        pending.extend(links)
+        self.epoch = self.now
+        self.gamma = 0.0
+
+    def _move(self, i: int, w: float) -> None:
+        """Give the group at index i the lower w, keeping the order."""
+        ws = self.w
+        if i == 0 or ws[i - 1] <= w:
+            ws[i] = w
+            return
+        members, last = self.members, self.last
+        m, t = members[i], last[i]
+        del ws[i], members[i], last[i]
+        j = bisect_right(ws, w, 0, i)
+        ws.insert(j, w)
+        members.insert(j, m)
+        last.insert(j, t)
+
+    def absorb(self, volleys: list, k: int, pulse: float) -> None:
+        """Deliver the volleys' k pulses, of epsilon / I = pulse each, to
+        everyone but their own sources."""
+        if pulse == 0.0:
+            return
+        a = self.a
+        d = pulse / math.exp(a * (self.now - self.epoch))
+        self.gamma -= k * d
+        ws, members = self.w, self.members
+        loose = []
+        for _, src, link in volleys:
+            if link is not None:
+                # The fast path: the volley's whole source group, found by w.
+                i = bisect_left(ws, link)
+                while i < len(ws) and ws[i] == link:
+                    if members[i] is src:
+                        self._move(i, math.log(math.exp(a * link) + d) / a)
+                        break
+                    i += 1
+                else:
+                    loose.append(src)
+            else:
+                loose.append(src)
+        if loose:
+            self._split(np.concatenate(loose), d)
+
+    def _split(self, sources: np.ndarray, d: float) -> None:
+        """Own-pulse corrections for sources that are not one whole group.
+
+        Each group holding some of the sources splits by own-pulse count;
+        the parts that sent pulses move back.
+        """
+        counts = np.bincount(sources, minlength=self.n)
+        arrays = self._arrays()
+        owner = np.empty(self.n, dtype=np.int64)
+        owner[np.concatenate(arrays)] = np.repeat(
+            np.arange(len(arrays)), [m.shape[0] for m in arrays]
+        )
+        a = self.a
+        ws, members, last = self.w, self.members, self.last
+        parts = []
+        for i in reversed(np.unique(owner[np.flatnonzero(counts)]).tolist()):
+            w, m, t = ws[i], arrays[i], last[i]
+            del ws[i], members[i], last[i]
+            own = counts[m]
+            for c in np.unique(own).tolist():
+                part = _read_only(m[own == c])
+                parts.append((math.log(math.exp(a * w) + c * d) / a if c else w, part, t))
+        for w, m, t in parts:
+            j = bisect_right(ws, w)
+            ws.insert(j, w)
+            members.insert(j, m)
+            last.insert(j, t)
+
+    def fire(self, threshold: float, force: bool) -> tuple[np.ndarray, float, float]:
+        """Reset every front group at or above threshold (and the front one
+        if force); return (fired, latest previous firing, the reset w).
+
+        fired is empty when nobody fires, and the groups are then unchanged.
+        """
+        if not (force or self.phase(-1) >= threshold):
+            return _QUIET
+        ws, members, last = self.w, self.members, self.last
+        arrays = []
+        latest = -math.inf
+        while True:
+            w, m, t = ws.pop(), members.pop(), last.pop()
+            arrays.append(self._initial(w) if m is None else m)
+            if t > latest:
+                latest = t
+            if not ws or self.phase(-1) < threshold:
+                break
+        if len(arrays) == 1:
+            fired = arrays[0]
+        else:
+            fired = _read_only(np.sort(np.concatenate(arrays)))
+        # u = 1: v = 1 / alpha - gamma, written so that gamma == 0 gives -s.
+        s = self.now - self.epoch
+        w = math.log1p(-math.exp(self.a * s) * self.gamma) / self.a - s
+        if ws and w > ws[0]:
+            w = ws[0]  # rounding must not put the reset group ahead
+        ws.appendleft(w)
+        members.appendleft(fired)
+        last.appendleft(self.now)
+        return fired, latest, w
+
+
+def step_once(groups, pending, t_event, crossing, pulse, tau, tol_time, tol_phase):
+    """Advance to t_event and process the event there.
+
+    crossing says that t_event is the front group's threshold crossing; that
+    group then fires even if rounding of the clock left it short of
+    1 - tol_phase.  Returns (arrived, fired, latest): the sources of every
+    pulse consumed, in queue order; the oscillators reset; and the latest
+    previous firing time among them.  Both arrays are empty only when
+    t_event is neither a crossing nor an arrival.
+    """
+    if t_event < groups.now:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
-    if dt > 0.0:
-        top = drift(phases, top, dt)
+    if t_event - groups.epoch > groups.s_max:
+        groups.renormalize(pending)
+    groups.now = t_event
 
     limit = t_event + tol_time
-    volleys = []
-    while pending and pending[0][0] <= limit:
-        volleys.append(pending.popleft()[1])
-    if not volleys:
-        arrived = _NONE
-    elif len(volleys) == 1:
-        arrived = volleys[0]
+    if pending and pending[0][0] <= limit:
+        volleys = [pending.popleft()]
+        while pending and pending[0][0] <= limit:
+            volleys.append(pending.popleft())
+        if len(volleys) == 1:
+            arrived = volleys[0][1]
+        else:
+            arrived = _read_only(np.concatenate([v[1] for v in volleys]))
+        groups.absorb(volleys, arrived.shape[0], pulse)
     else:
-        arrived = np.concatenate(volleys)
-        arrived.flags.writeable = False
-    k = arrived.shape[0]
-    if k > 0:
-        # m = k - own, y = I * -expm1(log_ratio * phase) + m * eps and
-        # z = log1p(-y / I) / log_ratio, as the same IEEE operations in the
-        # same order as those expressions but in two n-length buffers: a
-        # dozen temporaries per event let malloc trim and regrow the heap
-        # on every call at n = 10^4.  Negation is exact and rounding is
-        # symmetric in sign, so y *= -I and y /= -I equal -y * I and -y / I.
-        m = np.bincount(arrived, minlength=n)
-        np.subtract(k, m, out=m)
-        y = np.multiply(log_ratio, phases)
-        np.expm1(y, out=y)
-        y *= -big_i
-        y += m * eps
-        saturated = y >= 1.0
-        np.minimum(y, 1.0, out=y)
-        y /= -big_i
-        np.log1p(y, out=y)
-        y /= log_ratio
-        y[saturated] = 1.0
-        np.copyto(phases, y, where=m > 0)
-        top = float(phases.max())
-
-    fired = _NONE
-    if top >= 1.0 - tol_phase:
-        fired = np.nonzero(phases >= 1.0 - tol_phase)[0]
-        phases[fired] = 0.0
-        fired.flags.writeable = False
-        pending.append((t_event + tau, fired))
-        top = float(phases.max())
-    return t_event, top, arrived, fired
+        arrived = _NONE
+    fired, latest, w = groups.fire(1.0 - tol_phase, crossing)
+    if fired.shape[0]:
+        pending.append((t_event + tau, fired, w))
+    return arrived, fired, latest

@@ -20,16 +20,20 @@ the command-line layer turns into byte-identical output files.
 
 Pulses in flight are kept as volleys: every oscillator that fires in one
 event sends its pulse after the same delay, so the queue is a deque of
-(arrival_time, sources) pairs in arrival order.  The per-event work lives in
-the numpy kernel _kernel.step_once, which pops the volleys due and appends
-the new one; step() wraps it and raises RuntimeError on an event that makes
-no progress.  The state caches its largest phase (top), which the kernel
-keeps exact, so finding the next event costs no pass over the phases.
-Apart from the kernel, step() does no Python work per firer: a few array
-operations keep each oscillator's last firing time for the running
-min_interfire_gap.  The state keeps no firing history; a caller that needs
-one reads it off the StepReports, which hold the kernel's read-only arrays
-and build their tuples only when first read.
+(arrival_time, sources, link) triples in arrival order.  Oscillators with
+equal state form groups in one affine frame (_kernel.Groups), so an event
+costs O(groups touched) whatever n is: a drift moves the clock, an arrival
+shifts one scalar for every receiver and moves its source group back, and a
+firing pops groups from the front.  step() hands each event to
+_kernel.step_once and raises RuntimeError on an event that makes no
+progress.  A threshold crossing fires the front group directly, so rounding
+of a large absolute clock cannot leave it short of threshold.  `top` and
+`bottom`, the largest and smallest phase, come from the front and back
+groups; `phases` is materialized from the groups on read.  Each group keeps
+the time its members last fired, so the running min_interfire_gap costs
+O(groups fired).  The state keeps no firing history; a caller that needs one
+reads it off the StepReports, which hold the kernel's read-only arrays and
+build their tuples only when first read.
 
 run(horizon) is the one stepping loop, a lazy generator of step()'s
 reports up to the horizon; callers stop it early or stream it into audit_run.
@@ -153,9 +157,10 @@ class NetworkState:
     flight, which a fresh state does not have; use inject_pending to build
     such configurations).
 
-    Pending pulses are held as volleys, one (arrival_time, sources) pair
-    per firing event; the pipeline view flattens them to one PendingSpike
-    per pulse.
+    The oscillators are held as groups of equal phase (_kernel.Groups);
+    phases, top and bottom read them.  Pending pulses are held as volleys,
+    one (arrival_time, sources, link) triple per firing event; the pipeline
+    view flattens them to one PendingSpike per pulse.
 
     Args:
         params: model definition.
@@ -177,16 +182,13 @@ class NetworkState:
                 "oscillators that just fired (see inject_pending)"
             )
         self.params = params
-        self._now = 0.0
-        self._phases = phases
-        # Largest phase, kept equal to phases.max() by every change.
-        self._top = float(phases.max())
-        # Volleys (arrival_time, read-only int64 sources), in arrival order.
-        self._pending: deque[tuple[float, np.ndarray]] = deque()
-        self._big_i = params.curve.i
-        self._log_ratio = log_ratio(params.curve)
-        self._last_fire = np.full(n, -math.inf)
+        self._groups = _kernel.Groups(phases, log_ratio(params.curve))
+        # Volleys (arrival_time, read-only int64 sources, link), in arrival order.
+        self._pending: deque[tuple[float, np.ndarray, float | None]] = deque()
+        self._pulse = params.coupling.epsilon / params.curve.i
         self._min_gap = math.inf
+        # top, worked out at most once per state; None after every change.
+        self._top: float | None = None
 
     # ------------------------------------------------------------------
     # views
@@ -197,26 +199,32 @@ class NetworkState:
 
     @property
     def now(self) -> float:
-        return self._now
+        return self._groups.now
 
     @property
     def phases(self) -> np.ndarray:
-        """Read-only view of the current phases."""
-        view = self._phases.view()
-        view.flags.writeable = False
-        return view
+        """Read-only array of the current phases, materialized from the groups."""
+        return _kernel._read_only(self._groups.phases())
 
     @property
     def top(self) -> float:
-        """The largest phase, cached: equal to phases.max() at every instant."""
-        return self._top
+        """The largest phase, the front group's: equal to phases.max()."""
+        top = self._top
+        if top is None:
+            top = self._top = self._groups.phase(-1)
+        return top
+
+    @property
+    def bottom(self) -> float:
+        """The smallest phase, the back group's: equal to phases.min()."""
+        return self._groups.phase(0)
 
     @property
     def pipeline(self) -> tuple[PendingSpike, ...]:
         """Pending pulses in arrival order."""
         return tuple(
             PendingSpike(t, s)
-            for t, sources in self._pending
+            for t, sources, _ in self._pending
             for s in sources.tolist()
         )
 
@@ -239,7 +247,7 @@ class NetworkState:
         n = self.n
         if not self._pending:
             return np.zeros(n, dtype=np.int64), np.zeros((n, 0))
-        times, volleys = zip(*self._pending)
+        times, volleys, _ = zip(*self._pending)
         srcs = np.concatenate(volleys)
         times = np.repeat(times, [v.shape[0] for v in volleys])
         order = np.lexsort((times, srcs))
@@ -253,25 +261,22 @@ class NetworkState:
 
     def __repr__(self) -> str:
         return (
-            f"NetworkState(n={self.n}, now={self._now!r}, "
-            f"pending={sum(v.shape[0] for _, v in self._pending)})"
+            f"NetworkState(n={self.n}, now={self.now!r}, "
+            f"pending={sum(v.shape[0] for _, v, _ in self._pending)})"
         )
 
     def copy(self) -> "NetworkState":
         """Independent copy; stepping one state never affects the other.
 
-        The two deques share their read-only volley arrays.
+        The two share their read-only member and volley arrays.
         """
         dup = object.__new__(NetworkState)
         dup.params = self.params
-        dup._now = self._now
-        dup._phases = self._phases.copy()
-        dup._top = self._top
+        dup._groups = self._groups.copy()
         dup._pending = deque(self._pending)
-        dup._big_i = self._big_i
-        dup._log_ratio = self._log_ratio
-        dup._last_fire = self._last_fire.copy()
+        dup._pulse = self._pulse
         dup._min_gap = self._min_gap
+        dup._top = self._top
         return dup
 
     # ------------------------------------------------------------------
@@ -279,36 +284,37 @@ class NetworkState:
 
     def next_event_time(self) -> float:
         """Time of the next pulse arrival or threshold crossing."""
-        return _kernel.next_event_time(self._top, self._pending, self._now)
+        t = self._groups.now + (1.0 - self.top)
+        pending = self._pending
+        if pending and pending[0][0] < t:
+            t = pending[0][0]
+        return t
 
     def step(self) -> StepReport:
-        """Advance to the next event and process it.
+        """Advance to next_event_time() and process the event there.
 
         Raises RuntimeError when the event consumes no pulse and fires
-        nobody.  That happens only when the absolute clock has grown so
-        large that drifting to the threshold rounds short of it; stepping
-        again would repeat the same empty event forever.
+        nobody: the time next_event_time() gave is then neither an arrival
+        nor a crossing, and stepping again would repeat the empty event.
         """
         coupling = self.params.coupling
-        t_event, self._top, arrived, fired = _kernel.step_once(
-            self._phases, self._top, self._pending, self._now,
-            self._big_i, self._log_ratio,
-            coupling.epsilon, coupling.tau,
-            self.params.tol_time, self.params.tol_phase,
+        t_event = self.next_event_time()
+        crossing = t_event >= self._groups.now + (1.0 - self.top)
+        self._top = None
+        arrived, fired, latest = _kernel.step_once(
+            self._groups, self._pending, t_event, crossing, self._pulse,
+            coupling.tau, self.params.tol_time, self.params.tol_phase,
         )
-        self._now = t_event
-        nf = fired.shape[0]
-        if nf:
+        if fired.shape[0]:
             # min over firers of t_event - last equals t_event - max(last):
             # the rounded subtraction is monotone in last.
-            gap = t_event - float(self._last_fire[fired].max())
+            gap = t_event - latest
             if gap < self._min_gap:
                 self._min_gap = gap
-            self._last_fire[fired] = t_event
         elif arrived.shape[0] == 0:
             raise RuntimeError(
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
-                "the clock is too coarse to reach threshold"
+                "it is neither an arrival nor a threshold crossing"
             )
         return StepReport(t_event, arrived, fired)
 
@@ -319,17 +325,16 @@ class NetworkState:
         first.  Drifting exactly onto an event time is allowed; the event
         then runs with zero drift on the next step().
         """
-        if t < self._now:
-            raise ValueError(f"cannot drift backwards: now={self._now}, t={t}")
+        now = self._groups.now
+        if t < now:
+            raise ValueError(f"cannot drift backwards: now={now}, t={t}")
         t_next = self.next_event_time()
         if t > t_next:
             raise ValueError(
                 f"an event occurs at {t_next} before t={t}; step() past it first"
             )
-        dt = t - self._now
-        if dt > 0.0:
-            self._top = _kernel.drift(self._phases, self._top, dt)
-            self._now = t
+        self._groups.now = t
+        self._top = None
 
     def run(self, horizon: float = math.inf) -> Iterator[StepReport]:
         """Yield step() for every event with time <= horizon, in order.
@@ -340,8 +345,8 @@ class NetworkState:
         leaves the state at the last event it was given.  Raises ValueError
         on the first next() if horizon precedes the current time.
         """
-        if horizon < self._now:
-            raise ValueError(f"horizon {horizon} precedes current time {self._now}")
+        if horizon < self.now:
+            raise ValueError(f"horizon {horizon} precedes current time {self.now}")
         while self.next_event_time() <= horizon:
             yield self.step()
         self.drift_to(horizon)
@@ -364,20 +369,21 @@ class NetworkState:
         source absorbed nothing since it fired.
         """
         tau = self.params.coupling.tau
+        now = self.now
+        phases = self.phases if enforce_phase_offset else None
         incoming = []
         for item in spikes:
             spike = PendingSpike(*item)
             if not 0 <= spike.source < self.n:
                 raise ValueError(f"source {spike.source} out of range")
-            if not self._now < spike.arrival_time <= self._now + tau:
+            if not now < spike.arrival_time <= now + tau:
                 raise ValueError(
-                    f"arrival {spike.arrival_time} outside "
-                    f"({self._now}, {self._now + tau}]"
+                    f"arrival {spike.arrival_time} outside ({now}, {now + tau}]"
                 )
             if enforce_phase_offset:
-                remaining = spike.arrival_time - self._now
+                remaining = spike.arrival_time - now
                 implied = tau - remaining
-                actual = float(self._phases[spike.source])
+                actual = float(phases[spike.source])
                 if abs(actual - implied) > self.params.tol_phase:
                     raise ValueError(
                         f"source {spike.source} at phase {actual}, but a pulse "
@@ -387,10 +393,11 @@ class NetworkState:
         if not incoming:
             return
         # One single-source volley per pulse, so that arrivals keep
-        # (time, source) order however the pulses were grouped before.
-        pending: deque[tuple[float, np.ndarray]] = deque()
+        # (time, source) order however the pulses were grouped before.  They
+        # carry no link: their sources need not be one whole group.
+        pending: deque[tuple[float, np.ndarray, float | None]] = deque()
         for t, s in sorted(list(self.pipeline) + incoming):
             volley = np.array([s], dtype=np.int64)
             volley.flags.writeable = False
-            pending.append((float(t), volley))
+            pending.append((float(t), volley, None))
         self._pending = pending

@@ -412,16 +412,16 @@ class TestStrobeCommand:
 
 
     # SHA-256 of `pcodelay strobe` stdout (the CSV) and stderr (the
-    # summary), computed while the engine kept pending pulses in a ring
-    # buffer.  Both runs partition and check synchrony with pulses in flight.
+    # summary), recomputed for the grouped engine's arithmetic.  Both runs
+    # partition and check synchrony with pulses in flight.
     @pytest.mark.parametrize(
         "overrides,out_digest,err_digest",
         [
-            (dict(), "3d5fb12d86b3cc1f85c60b316e9944e2e4ec0bda9b789d96cd89f06f7c703280",
-             "b95ea8038463857d466348ed8c671434fe0b6a3f5351020ee8caa55f816d3a86"),
+            (dict(), "99942fc1ba7c4d4309d681aef79a42a0922ba13a7bc3afb73ca237b4dde496d2",
+             "e3a9d43bd4a7a98ac2d75d0a7ca43c49d3f9d8c4ad1ba65851c041db25642b3a"),
             (dict(init={"mode": "uniform", "low": 0.0, "high": 0.01}),
-             "d2da586757c137e4d8a805429f63eb31b3a20c764055726fcfdb705867a44811",
-             "ff01e90ed9e9b9ebcb5c168a5f194eba32725573dca592fb4709b3f8e15c7cd1"),
+             "6ecb9b1e38f2fda9b4952e5eaf400d12df78a18c6fd39501bdcbbb0b02d1bcd8",
+             "89b7566a61262fcc5771f73936de6f431e2d3bbd657434ccec06e8becd5ac13a"),
         ],
         ids=["uniform", "bunched"],
     )
@@ -435,9 +435,10 @@ class TestStrobeCommand:
         assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
     def test_strobe_svg_output_digest(self, write_config, tmp_path, capsys):
-        # SHA-256 of the SVG and of its summary on stdout, computed while
-        # cmd_strobe kept every frame and built the SVG as one string.  The
-        # summary is the CSV run's ("uniform" above).
+        # SHA-256 of the SVG, computed while cmd_strobe kept every frame and
+        # built the SVG as one string, and of its summary on stdout,
+        # recomputed for the grouped engine.  The summary is the CSV run's
+        # ("uniform" above).
         out_path = tmp_path / "frames.svg"
         cfg = base_config(horizon=None, strobe={"ref": 0, "frames": 200})
         code, out, err = run_cli(
@@ -448,7 +449,7 @@ class TestStrobeCommand:
             "3355a05280e2549d57e5240501d31202b0d663cc79723241b555548a2b089fb3"
         )
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b95ea8038463857d466348ed8c671434fe0b6a3f5351020ee8caa55f816d3a86"
+            "e3a9d43bd4a7a98ac2d75d0a7ca43c49d3f9d8c4ad1ba65851c041db25642b3a"
         )
 
 
@@ -483,19 +484,18 @@ class TestAuditCommand:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
-    # SHA-256 of `pcodelay audit` stdout, computed with the audit that read
-    # the gaps off the engine's per-oscillator fire log and kept every
-    # StepReport in a list.  The last config breaks the saturation check, so
+    # SHA-256 of `pcodelay audit` stdout, recomputed for the grouped
+    # engine's event times.  The last config breaks the saturation check, so
     # its digest covers the violation list and exit code 4.
     @pytest.mark.parametrize(
         "overrides,code,digest",
         [
             (dict(n=1000, epsilon=1e-4, horizon=100.0), 0,
-             "1280c70243b68cf4b4e30bf5beac2c5bc22e66b0281c7ec3270d7490f63f7296"),
+             "0be31f9e4ad9d7383268dde9af88c4f4c08b4d66d7505320659cf016301c87c7"),
             (dict(n=10, seed=5, horizon=None, strobe={"ref": 0, "frames": 50}), 0,
-             "a7485f0ec522eebe8d73c405b1378f66de7177ea1778709feb667d4821da9cb2"),
+             "2614c62d45cc74df67c53084f39e0b154d2f91b06f2975e82d9791c9a80be7ea"),
             (dict(n=1000, horizon=100.0), 4,
-             "c658145d08c6eaeb9e84acf1de7b319286f390fafdc27d579d10145bfdbf3c43"),
+             "cff39e9024313b814c8a6e14dede2a94f07630ebeef1c9788c16c13b5ad06e4d"),
         ],
         ids=["horizon", "strobe", "violations"],
     )
@@ -592,15 +592,15 @@ class TestCounterexampleCommand:
         assert payload["spread_after_window"] > payload["spread_mid_window"]
 
     def test_counterexample_cli_output_digest(self, write_config, capsys):
-        # SHA-256 of the stdout computed while the engine kept pending
-        # pulses in a ring buffer; the synchrony checks in the window run
-        # with a pulse in flight.
+        # SHA-256 of the stdout, recomputed for the grouped engine (its
+        # equal phases mid-window now read a spread of exactly 0.0); the
+        # synchrony checks in the window run with a pulse in flight.
         path = write_config(base_config(n=2, horizon=5.0))
         code, out, err = run_cli(capsys, "counterexample", path)
         assert code == 0
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c2e3d4a119f80005ba2e214697a314b24c07dd3d275ee81924458726814322a0"
+            "b4e93159083c569bb15aa9d4f3925c06d02e7764a734742d9d802bbb0045b18b"
         )
 
     def test_requires_two_oscillators(self, write_config, capsys):

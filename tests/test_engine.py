@@ -9,6 +9,8 @@ import pytest
 import pcodelay as pc
 from pcodelay.curves import f_eval, f_inv, jump
 
+from reference import reference_run
+
 
 def make_params(n=2, epsilon=0.001, tau=0.1, **kw) -> pc.ModelParams:
     return pc.ModelParams(
@@ -344,12 +346,16 @@ class TestDeterminismAndLogs:
 
 class TestZeroProgressGuard:
     def test_empty_event_raises_instead_of_repeating(self, headline_params):
-        # At t = 2e4 ulp(t)/2 exceeds tol_phase, so drifting to the predicted
-        # threshold crossing can round short of it: an event that consumes
-        # no pulse and fires nobody.  step() must raise, not repeat it; the
-        # bounded loop keeps the test from hanging if the guard is missing.
-        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
-        net._now = 2e4
+        # A threshold event fires the front group directly, so a coarse
+        # clock no longer yields an empty event; fake one instead with a
+        # next_event_time() that stops halfway to every event.  step() must
+        # raise, not repeat it; the bounded loop keeps the test from hanging
+        # if the guard is missing.
+        class ShortOfEveryEvent(pc.NetworkState):
+            def next_event_time(self):
+                return self.now + 0.5 * (super().next_event_time() - self.now)
+
+        net = ShortOfEveryEvent(headline_params, pc.sample_phases(7, 100))
         with pytest.raises(RuntimeError, match="no pulse and fired nobody"):
             for _ in range(100):
                 net.step()
@@ -360,12 +366,15 @@ def bits(x) -> str:
 
 
 class TestCachedTop:
-    """NetworkState.top is phases.max(), bit for bit, after every change."""
+    """top and bottom are phases.max() and phases.min(), bit for bit, after
+    every change: step(), drift_to(), copy() and inject_pending()."""
 
     def assert_top(self, net):
-        assert bits(net.top) == bits(net.phases.max())
+        phases = net.phases
+        assert bits(net.top) == bits(phases.max())
+        assert bits(net.bottom) == bits(phases.min())
         spread = pc.phase_spread(net)
-        assert bits(spread) == bits(net.phases.max() - net.phases.min())
+        assert bits(spread) == bits(phases.max() - phases.min())
 
     def run_checked(self, net, horizon):
         for _ in net.run(horizon):  # step() after step()
@@ -382,16 +391,14 @@ class TestCachedTop:
         self.assert_top(net)  # untouched by its copy's steps
 
     def test_saturated_run(self):
-        # Most arrivals here push some receiver to y >= 1.
+        # Most arrivals here push some receiver to threshold.
         net = pc.NetworkState(make_params(n=30, epsilon=0.02), pc.sample_phases(7, 30))
         self.run_checked(net, 30.0)
 
     def test_late_non_round_time_takes_the_clip_branch(self, headline_params):
         # Away from t = 0, drifting by next_event_time() - now can overshoot
-        # the threshold by rounding; the clip back to 1.0 must keep top
-        # exact, both in step() and in drift_to().  Counted once: the clip
-        # runs 107 times in step() on the way to t = 37.7731, then 32 times
-        # in the drift_to() calls of the loop.
+        # the threshold by rounding; the cap at 1.0 must keep top exact,
+        # both in step() and in drift_to().
         net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
         list(net.run(37.7731))
         self.assert_top(net)
@@ -408,6 +415,105 @@ class TestCachedTop:
         assert net.top == top
         self.assert_top(net)
         self.run_checked(net, 3.0)
+
+
+def assert_groups(net):
+    """The grouped state is well formed and agrees with the phases view."""
+    groups = net._groups
+    ws = list(groups.w)
+    assert ws == sorted(ws)
+    members = groups._arrays()
+    assert len(members) == len(ws) == len(groups.last)
+    assert sorted(np.concatenate(members).tolist()) == list(range(net.n))
+    phases = net.phases
+    for m in members:
+        assert not m.flags.writeable
+        assert m.tolist() == sorted(m.tolist())
+        assert np.all(phases[m] == phases[m[0]])
+    return len(ws)
+
+
+class TestGroups:
+    """The group structure through each path that splits or merges groups."""
+
+    def test_initial_groups_share_equal_phases(self):
+        net = pc.NetworkState(make_params(n=6), [0.3, 0.8, 0.3, 0.8, 0.3, 0.5])
+        assert assert_groups(net) == 3
+        assert net.phases.tolist() == [0.3, 0.8, 0.3, 0.8, 0.3, 0.5]
+        assert (net.top, net.bottom) == (0.8, 0.3)
+
+    def test_saturated_refire_splits_groups(self):
+        # The saturation check fails, so groups fire again while their own
+        # volley is in flight; that volley then covers part of a group.
+        params = make_params(n=30, epsilon=0.02, tau=0.3)
+        phases = pc.sample_phases(303, 30)
+        net = pc.NetworkState(params, phases)
+        reports = []
+        for rep in net.run(30.0):
+            reports.append(rep)
+            assert_groups(net)
+        audit = pc.audit_run(reports, params)
+        assert audit.min_interfire_gap < params.coupling.tau
+        assert audit.max_pending_per_source == 2
+        want = [(a, f) for _, a, f in reference_run(params, phases, 30.0)]
+        assert [(r.arrival_sources, r.fired) for r in reports] == want
+
+    def test_inject_from_part_of_a_group(self):
+        params = make_params(n=4)
+        curve = params.curve
+        net = pc.NetworkState(params, [0.3, 0.3, 0.3, 0.8])
+        assert assert_groups(net) == 2
+        net.inject_pending([(0.05, 0)])
+        report = net.step()
+        assert report.arrival_sources == (0,) and report.fired == ()
+        assert assert_groups(net) == 3  # 0 left its group behind
+        expected = [0.35, jump(curve, 0.001, 0.35, 1), jump(curve, 0.001, 0.35, 1),
+                    jump(curve, 0.001, 0.85, 1)]
+        assert np.abs(net.phases - expected).max() <= 1e-13
+        assert net.phases[1] == net.phases[2] > net.phases[0]
+
+    def test_duplicate_injected_sources(self):
+        # The same pulse twice: its source absorbs none of the pair, the rest
+        # both; a second source in the same event splits its group as well.
+        params = make_params(n=5)
+        curve = params.curve
+        net = pc.NetworkState(params, [0.3, 0.3, 0.3, 0.6, 0.6])
+        net.inject_pending([(0.05, 0), (0.05, 0), (0.05, 3)])
+        report = net.step()
+        assert report.arrival_sources == (0, 0, 3)
+        assert assert_groups(net) == 4
+        expected = [jump(curve, 0.001, 0.35, 1), jump(curve, 0.001, 0.35, 3),
+                    jump(curve, 0.001, 0.35, 3), jump(curve, 0.001, 0.65, 2),
+                    jump(curve, 0.001, 0.65, 3)]
+        assert np.abs(net.phases - expected).max() <= 1e-13
+
+    def test_copy_stays_independent_while_groups_split_and_merge(self):
+        params = make_params(n=30, epsilon=0.02, tau=0.3)
+        net = pc.NetworkState(params, pc.sample_phases(303, 30))
+        net.inject_pending([(0.05, 3), (0.05, 3), (0.07, 11)])
+        dup = net.copy()
+        frozen = (net.phases.copy(), net.pipeline, net.top, net.bottom)
+        ahead = list(dup.run(10.0))
+        assert any(len(r.fired) > 1 for r in ahead)  # groups merged
+        assert_groups(dup)
+        assert np.array_equal(net.phases, frozen[0])
+        assert (net.pipeline, net.top, net.bottom) == frozen[1:]
+        assert_groups(net)
+        assert list(net.run(10.0)) == ahead
+        assert np.array_equal(net.phases, dup.phases)
+
+    def test_renormalization_keeps_phases_and_links(self, headline_params):
+        # The frame restarts about every 2.3 time units; every volley must
+        # still find its whole source group afterwards.
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        epochs = set()
+        for _ in net.run(10.0):
+            epochs.add(net._groups.epoch)
+            before = net.phases
+            net._groups.renormalize(net._pending)
+            assert np.array_equal(net.phases, before)
+        assert len(epochs) >= 4
+        assert_groups(net)
 
 
 class TestStepReport:

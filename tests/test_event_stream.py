@@ -2,18 +2,18 @@
 
 Each digest is the SHA-256 of (event_time, len(fired), fired) for every
 event in order, packed as little-endian float64, int64 and int64 indices.
-The first two constants were computed with the engine that built fired and
-arrival_sources one int at a time and logged every firing per oscillator;
-the third with the kernel that clipped and scanned the phases at every event
-and negated in separate buffers.  In that third, saturated run (the
-saturation check fails), 518 of the 539 events push some receiver to
-y >= 1, so it guards the kernel's saturation branch.
+The constants were recomputed when the engine moved from phase-space ufuncs
+to the grouped affine state, which rounds event times differently; the
+event counts and the set-level digests below stayed as they were.  In the
+third, saturated run (the saturation check fails), 518 of the 539 events
+push some receiver to threshold, so it guards the saturation branch.
 
 SET_DIGESTS guard the same streams at the level of sets: the SHA-256 of
 (len(arrival_sources), arrival_sources, len(fired), fired) for every event,
 packed as little-endian int64.  They hold no time or phase bits, so they
 stay fixed under any change of the engine's arithmetic that keeps every
-event's sources and firers.  They were computed with the phase-space kernel.
+event's sources and firers.  They were computed with the phase-space kernel
+and hold unchanged for the grouped engine.
 """
 
 import hashlib
@@ -28,13 +28,13 @@ from pcodelay.analysis import audit_run
 # (n, epsilon, seed, horizon) -> (events, events with >= 100 firers, digest)
 STREAMS = {
     (100, 0.001, 7, 100.0): (
-        1492, 0, "05edcad551e35079f5a62e689926c48df4dff0f071d401d707bf7b9876d612df",
+        1492, 0, "e7450ba8d84d4f8d8eac510a98d5e34616f6fe6af428180dcca711684c7e839e",
     ),
     (1000, 1e-4, 7, 15.0): (
-        10407, 13, "eece7ef07a82e702f268ec3b1f8ade185b3ee90c171abf43037dd97c90d852a0",
+        10407, 13, "25c499520c7e5deefd046f95d1d6c7ebab86ea44e3608bed7f0c74686dd02761",
     ),
     (30, 0.02, 7, 50.0): (
-        539, 0, "0d07053b3cd7a4342a9683b2c21ad5d6ba3a05136ee6c88dabcb68b45aef8805",
+        539, 0, "1b7fcebe4d714d9c13e470f77b2781ff4fcfd043db15ec4295ea34bc6fa0026a",
     ),
 }
 
