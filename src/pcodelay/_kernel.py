@@ -24,20 +24,24 @@ epoch moves to now.
 
 Oscillators that share w bit for bit form a group.  Groups are kept in three
 parallel deques ordered by ascending w: index -1 is the front (the highest
-phase, next to fire) and index 0 the back.  Each group has a read-only
-member array and the time all its members last fired.  Firing pops groups
-from the front and appends one merged group at the back.  An arriving volley
-whose sources are still exactly one group moves that group back by a
-bisection over w.  Any other volley (injected pulses, duplicates, or a group
-that fired again within the delay) splits the groups it touches on demand.
-The cost of an event is therefore O(groups touched), independent of n.
+phase, next to fire) and index 0 the back.  Each group has its members, a
+read-only array or, for a group untouched since construction, its index
+into the runs of one sorted index array, and the time they last fired.
+Firing pops groups from the front and appends one merged group at the back.
+An arriving volley whose sources are still exactly one group moves that
+group back by a bisection over w.  Any other volley (injected pulses,
+duplicates, or a group that fired again within the delay) splits the groups
+it touches on demand.  The cost of an event is therefore O(groups touched),
+independent of n.
 
-The queue is a deque of volleys (arrival_time, sources, link) in arrival
-order, one per firing event.  link is the w its source group had when it
-was reset, or None for injected pulses; the arriving volley takes the fast
-path when a group with that w still holds exactly its sources.  Every new
-volley is due at event_time + tau, no earlier than any pending one, so the
-queue stays sorted without sorting.
+Groups also owns the queue, the running minimum gap between two firings of
+one oscillator and the constants epsilon / I, tau, tol_time and
+1 - tol_phase.  The queue is a deque of volleys (arrival_time, sources,
+link) in arrival order, one per firing event.  link is the w its source
+group had when it was reset, or None for injected pulses; the arriving
+volley takes the fast path when a group with that w still holds exactly its
+sources.  Every new volley is due at event_time + tau, no earlier than any
+pending one, so the queue stays sorted without sorting.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
@@ -74,26 +78,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class Groups:
-    """The clock, the affine frame and the groups of equal phase.
+    """The clock, the affine frame, the groups of equal phase and the queue.
 
-    Built from validated phases in (0, 1].  Construction builds no array per
-    group: an initial group's members entry is None, and its members are a
-    run of one sorted index array, found from its w, which stays its
-    initial phase until the first renormalization turns every such entry
-    into its array.
+    Built from validated phases in (0, 1] and the constants pulse = epsilon
+    / I, tau, tol_time and threshold = 1 - tol_phase.  Initial group j has
+    members entry j, which stays valid across renormalization: its members
+    are _order[_bounds[j]:_bounds[j + 1]].
     """
 
     __slots__ = (
-        "n", "a", "s_max", "now", "epoch", "gamma",
-        "w", "members", "last", "_w0", "_order", "_bounds",
+        "n", "a", "s_max", "now", "epoch", "gamma", "w", "members", "last",
+        "_order", "_bounds", "pending", "pulse", "tau", "tol_time", "threshold",
+        "min_gap",
     )
 
-    def __init__(self, phases: np.ndarray, a: float) -> None:
+    def __init__(
+        self, phases: np.ndarray, a: float, pulse: float, tau: float,
+        tol_time: float, threshold: float,
+    ) -> None:
         n = phases.shape[0]
         order = np.argsort(phases)
         ranked = phases[order]
         cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-        if cuts.shape[0] + 1 < n:
+        count = cuts.shape[0] + 1
+        if count < n:
             # Equal phases: list each group's members in index order.
             order = np.argsort(phases, kind="stable")
         self.n = n
@@ -102,12 +110,16 @@ class Groups:
         self.now = 0.0
         self.epoch = 0.0
         self.gamma = 0.0
-        self._w0 = ranked[np.concatenate(([0], cuts))]
         self._order = _read_only(order)
         self._bounds = np.concatenate(([0], cuts, [n]))
-        self.w = deque(self._w0.tolist())
-        self.members = deque([None]) * self._w0.shape[0]
-        self.last = deque([-math.inf]) * self._w0.shape[0]
+        self.w = deque(ranked[self._bounds[:-1]].tolist())
+        self.members = deque(range(count))
+        self.last = deque([-math.inf]) * count
+        # Volleys (arrival_time, read-only int64 sources, link), in arrival order.
+        self.pending: deque[tuple[float, np.ndarray, float | None]] = deque()
+        self.pulse, self.tau = pulse, tau
+        self.tol_time, self.threshold = tol_time, threshold
+        self.min_gap = math.inf
 
     def copy(self) -> "Groups":
         dup = object.__new__(Groups)
@@ -116,6 +128,7 @@ class Groups:
         dup.w = deque(self.w)
         dup.members = deque(self.members)
         dup.last = deque(self.last)
+        dup.pending = deque(self.pending)
         return dup
 
     # ------------------------------------------------------------------
@@ -138,42 +151,38 @@ class Groups:
             return 0.0  # reset at this instant
         return self._phase(self.w[i])
 
-    def _initial(self, w: float) -> np.ndarray:
-        """The members of the initial group whose w is still its phase."""
-        j = int(np.searchsorted(self._w0, w))
+    def _initial(self, j: int) -> np.ndarray:
+        """The members of initial group j."""
         return self._order[self._bounds[j]:self._bounds[j + 1]]
 
     def _arrays(self) -> list[np.ndarray]:
         """Every group's member array, back to front."""
-        return [
-            self._initial(w) if m is None else m for w, m in zip(self.w, self.members)
-        ]
+        return [self._initial(m) if type(m) is int else m for m in self.members]
 
     def phases(self) -> np.ndarray:
-        """All n phases, materialized from the groups."""
+        """All n phases, materialized from the groups; read-only."""
         arrays = self._arrays()
         values = [
             0.0 if t == self.now else self._phase(w) for w, t in zip(self.w, self.last)
         ]
         out = np.empty(self.n)
         out[np.concatenate(arrays)] = np.repeat(values, [a.shape[0] for a in arrays])
-        return out
+        return _read_only(out)
 
     # ------------------------------------------------------------------
     # changing the state
 
-    def renormalize(self, pending: deque) -> None:
+    def renormalize(self) -> None:
         """Start a new frame at now: every w becomes its group's phase.
 
         The phases read the same before and after.  Volley links are mapped
         by the same function, so they still match their groups bit for bit.
         """
         remap = self._phase
-        self.members = deque(self._arrays())
         self.w = deque(map(remap, self.w))
-        links = [(t, src, None if link is None else remap(link)) for t, src, link in pending]
-        pending.clear()
-        pending.extend(links)
+        self.pending = deque(
+            (t, src, None if w is None else remap(w)) for t, src, w in self.pending
+        )
         self.epoch = self.now
         self.gamma = 0.0
 
@@ -191,13 +200,13 @@ class Groups:
         members.insert(j, m)
         last.insert(j, t)
 
-    def absorb(self, volleys: list, k: int, pulse: float) -> None:
-        """Deliver the volleys' k pulses, of epsilon / I = pulse each, to
-        everyone but their own sources."""
-        if pulse == 0.0:
+    def absorb(self, volleys: list, k: int) -> None:
+        """Deliver the volleys' k pulses, of epsilon / I each, to everyone
+        but their own sources."""
+        if self.pulse == 0.0:
             return
         a = self.a
-        d = pulse / math.exp(a * (self.now - self.epoch))
+        d = self.pulse / math.exp(a * (self.now - self.epoch))
         self.gamma -= k * d
         ws, members = self.w, self.members
         loose = []
@@ -245,23 +254,23 @@ class Groups:
             members.insert(j, m)
             last.insert(j, t)
 
-    def fire(self, threshold: float, force: bool) -> tuple[np.ndarray, float, float]:
+    def fire(self, force: bool) -> tuple[np.ndarray, float, float]:
         """Reset every front group at or above threshold (and the front one
         if force); return (fired, latest previous firing, the reset w).
 
         fired is empty when nobody fires, and the groups are then unchanged.
         """
-        if not (force or self.phase(-1) >= threshold):
+        if not (force or self.phase(-1) >= self.threshold):
             return _QUIET
         ws, members, last = self.w, self.members, self.last
         arrays = []
         latest = -math.inf
         while True:
-            w, m, t = ws.pop(), members.pop(), last.pop()
-            arrays.append(self._initial(w) if m is None else m)
+            _, m, t = ws.pop(), members.pop(), last.pop()
+            arrays.append(self._initial(m) if type(m) is int else m)
             if t > latest:
                 latest = t
-            if not ws or self.phase(-1) < threshold:
+            if not ws or self.phase(-1) < self.threshold:
                 break
         if len(arrays) == 1:
             fired = arrays[0]
@@ -278,23 +287,23 @@ class Groups:
         return fired, latest, w
 
 
-def step_once(groups, pending, t_event, crossing, pulse, tau, tol_time, tol_phase):
+def step_once(groups, t_event, crossing):
     """Advance to t_event and process the event there.
 
     crossing says that t_event is the front group's threshold crossing; that
     group then fires even if rounding of the clock left it short of
-    1 - tol_phase.  Returns (arrived, fired, latest): the sources of every
-    pulse consumed, in queue order; the oscillators reset; and the latest
-    previous firing time among them.  Both arrays are empty only when
-    t_event is neither a crossing nor an arrival.
+    1 - tol_phase.  Returns (arrived, fired): the sources of every pulse
+    consumed, in queue order, and the oscillators reset.  Both arrays are
+    empty only when t_event is neither a crossing nor an arrival.
     """
     if t_event < groups.now:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
     if t_event - groups.epoch > groups.s_max:
-        groups.renormalize(pending)
+        groups.renormalize()
     groups.now = t_event
 
-    limit = t_event + tol_time
+    pending = groups.pending
+    limit = t_event + groups.tol_time
     if pending and pending[0][0] <= limit:
         volleys = [pending.popleft()]
         while pending and pending[0][0] <= limit:
@@ -303,10 +312,15 @@ def step_once(groups, pending, t_event, crossing, pulse, tau, tol_time, tol_phas
             arrived = volleys[0][1]
         else:
             arrived = _read_only(np.concatenate([v[1] for v in volleys]))
-        groups.absorb(volleys, arrived.shape[0], pulse)
+        groups.absorb(volleys, arrived.shape[0])
     else:
         arrived = _NONE
-    fired, latest, w = groups.fire(1.0 - tol_phase, crossing)
+    fired, latest, w = groups.fire(crossing)
     if fired.shape[0]:
-        pending.append((t_event + tau, fired, w))
-    return arrived, fired, latest
+        pending.append((t_event + groups.tau, fired, w))
+        # min over firers of t_event - last equals t_event - max(last):
+        # the rounded subtraction is monotone in last.
+        gap = t_event - latest
+        if gap < groups.min_gap:
+            groups.min_gap = gap
+    return arrived, fired

@@ -18,22 +18,22 @@ firing share one bit pattern.  Runs are deterministic: identical params,
 initial phases and injected pulses give bit-identical trajectories, which
 the command-line layer turns into byte-identical output files.
 
-Pulses in flight are kept as volleys: every oscillator that fires in one
-event sends its pulse after the same delay, so the queue is a deque of
-(arrival_time, sources, link) triples in arrival order.  Oscillators with
-equal state form groups in one affine frame (_kernel.Groups), so an event
-costs O(groups touched) whatever n is: a drift moves the clock, an arrival
-shifts one scalar for every receiver and moves its source group back, and a
-firing pops groups from the front.  step() hands each event to
+One kernel state, _kernel.Groups, holds all an event reads or changes: the
+clock, the oscillators as groups of equal state in one affine frame, the
+pulses in flight as volleys (one (arrival_time, sources, link) triple per
+firing event, in arrival order) and the running min_interfire_gap, which
+costs O(groups fired) since each group keeps the time it last fired.  An
+event costs O(groups touched) whatever n is: a drift moves the clock, an
+arrival shifts one scalar for every receiver and moves its source group
+back, and a firing pops groups from the front.  step() hands each event to
 _kernel.step_once and raises RuntimeError on an event that makes no
 progress.  A threshold crossing fires the front group directly, so rounding
 of a large absolute clock cannot leave it short of threshold.  `top` and
 `bottom`, the largest and smallest phase, come from the front and back
-groups; `phases` is materialized from the groups on read.  Each group keeps
-the time its members last fired, so the running min_interfire_gap costs
-O(groups fired).  The state keeps no firing history; a caller that needs one
-reads it off the StepReports, which hold the kernel's read-only arrays and
-build their tuples only when first read.
+groups; `phases` is materialized from the groups on read.  The state keeps
+no firing history; a caller that needs one reads it off the StepReports,
+which hold the kernel's read-only arrays and build their tuples only when
+first read.
 
 run(horizon) is the one stepping loop, a lazy generator of step()'s
 reports up to the horizon; callers stop it early or stream it into audit_run.
@@ -150,17 +150,16 @@ class StepReport:
 
 
 class NetworkState:
-    """Mutable simulation state: clock, phases, pending volleys, last firings.
+    """Mutable simulation state: the model and one kernel state.
 
     Construct with phases in (0, 1]; exactly 1.0 is legal and fires at t=0,
     exactly 0 is not (a freshly reset oscillator implies a pulse already in
     flight, which a fresh state does not have; use inject_pending to build
     such configurations).
 
-    The oscillators are held as groups of equal phase (_kernel.Groups);
-    phases, top and bottom read them.  Pending pulses are held as volleys,
-    one (arrival_time, sources, link) triple per firing event; the pipeline
-    view flattens them to one PendingSpike per pulse.
+    It holds params, the kernel state (_kernel.Groups: clock, groups of
+    equal phase, pending volleys, minimum gap) and a memo of top.  The
+    pipeline view flattens the volleys to one PendingSpike per pulse.
 
     Args:
         params: model definition.
@@ -182,11 +181,10 @@ class NetworkState:
                 "oscillators that just fired (see inject_pending)"
             )
         self.params = params
-        self._groups = _kernel.Groups(phases, log_ratio(params.curve))
-        # Volleys (arrival_time, read-only int64 sources, link), in arrival order.
-        self._pending: deque[tuple[float, np.ndarray, float | None]] = deque()
-        self._pulse = params.coupling.epsilon / params.curve.i
-        self._min_gap = math.inf
+        self._groups = _kernel.Groups(
+            phases, log_ratio(params.curve), params.coupling.epsilon / params.curve.i,
+            params.coupling.tau, params.tol_time, 1.0 - params.tol_phase,
+        )
         # top, worked out at most once per state; None after every change.
         self._top: float | None = None
 
@@ -204,7 +202,7 @@ class NetworkState:
     @property
     def phases(self) -> np.ndarray:
         """Read-only array of the current phases, materialized from the groups."""
-        return _kernel._read_only(self._groups.phases())
+        return self._groups.phases()
 
     @property
     def top(self) -> float:
@@ -224,7 +222,7 @@ class NetworkState:
         """Pending pulses in arrival order."""
         return tuple(
             PendingSpike(t, s)
-            for t, sources, _ in self._pending
+            for t, sources, _ in self._groups.pending
             for s in sources.tolist()
         )
 
@@ -235,7 +233,7 @@ class NetworkState:
         Covers the whole run; audit_run over the run's reports gives the
         same value.
         """
-        return self._min_gap
+        return self._groups.min_gap
 
     def _pending_by_source(self) -> tuple[np.ndarray, np.ndarray]:
         """Pending pulses per source, for the analysis layer: (counts, due).
@@ -245,9 +243,9 @@ class NetworkState:
         the rest of each row is 0.0.
         """
         n = self.n
-        if not self._pending:
+        if not self._groups.pending:
             return np.zeros(n, dtype=np.int64), np.zeros((n, 0))
-        times, volleys, _ = zip(*self._pending)
+        times, volleys, _ = zip(*self._groups.pending)
         srcs = np.concatenate(volleys)
         times = np.repeat(times, [v.shape[0] for v in volleys])
         order = np.lexsort((times, srcs))
@@ -262,7 +260,7 @@ class NetworkState:
     def __repr__(self) -> str:
         return (
             f"NetworkState(n={self.n}, now={self.now!r}, "
-            f"pending={sum(v.shape[0] for _, v, _ in self._pending)})"
+            f"pending={sum(v.shape[0] for _, v, _ in self._groups.pending)})"
         )
 
     def copy(self) -> "NetworkState":
@@ -273,9 +271,6 @@ class NetworkState:
         dup = object.__new__(NetworkState)
         dup.params = self.params
         dup._groups = self._groups.copy()
-        dup._pending = deque(self._pending)
-        dup._pulse = self._pulse
-        dup._min_gap = self._min_gap
         dup._top = self._top
         return dup
 
@@ -285,7 +280,7 @@ class NetworkState:
     def next_event_time(self) -> float:
         """Time of the next pulse arrival or threshold crossing."""
         t = self._groups.now + (1.0 - self.top)
-        pending = self._pending
+        pending = self._groups.pending
         if pending and pending[0][0] < t:
             t = pending[0][0]
         return t
@@ -297,21 +292,11 @@ class NetworkState:
         nobody: the time next_event_time() gave is then neither an arrival
         nor a crossing, and stepping again would repeat the empty event.
         """
-        coupling = self.params.coupling
         t_event = self.next_event_time()
         crossing = t_event >= self._groups.now + (1.0 - self.top)
         self._top = None
-        arrived, fired, latest = _kernel.step_once(
-            self._groups, self._pending, t_event, crossing, self._pulse,
-            coupling.tau, self.params.tol_time, self.params.tol_phase,
-        )
-        if fired.shape[0]:
-            # min over firers of t_event - last equals t_event - max(last):
-            # the rounded subtraction is monotone in last.
-            gap = t_event - latest
-            if gap < self._min_gap:
-                self._min_gap = gap
-        elif arrived.shape[0] == 0:
+        arrived, fired = _kernel.step_once(self._groups, t_event, crossing)
+        if fired.shape[0] == 0 and arrived.shape[0] == 0:
             raise RuntimeError(
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
                 "it is neither an arrival nor a threshold crossing"
@@ -395,9 +380,9 @@ class NetworkState:
         # One single-source volley per pulse, so that arrivals keep
         # (time, source) order however the pulses were grouped before.  They
         # carry no link: their sources need not be one whole group.
-        pending: deque[tuple[float, np.ndarray, float | None]] = deque()
+        pending = deque()
         for t, s in sorted(list(self.pipeline) + incoming):
             volley = np.array([s], dtype=np.int64)
             volley.flags.writeable = False
             pending.append((float(t), volley, None))
-        self._pending = pending
+        self._groups.pending = pending

@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,20 @@ import pcodelay as pc
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Hypothesis keeps its example database and constants cache under
+# ./.hypothesis unless told otherwise; a test run keeps them in a temporary
+# directory instead, so it leaves nothing in the checkout.
+HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    home = config.stash[HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="pcodelay-hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = home
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture

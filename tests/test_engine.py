@@ -225,6 +225,16 @@ class TestPipeline:
         assert net.next_event_time() == 0.05
         assert net.pipeline == (pc.PendingSpike(0.05, 1),)
 
+    def test_repr_counts_pending_pulses(self):
+        net = pc.NetworkState(make_params(n=4), [0.5, 1.0, 1.0, 0.3])
+        assert repr(net) == "NetworkState(n=4, now=0.0, pending=0)"
+        net.inject_pending([(0.05, 0), (0.05, 3)])
+        assert repr(net) == "NetworkState(n=4, now=0.0, pending=2)"
+        assert net.step().fired == (1, 2)
+        assert repr(net) == "NetworkState(n=4, now=0.0, pending=4)"
+        assert net.step().arrival_sources == (0, 3)
+        assert repr(net) == "NetworkState(n=4, now=0.05, pending=2)"
+
     def test_inject_enforce_phase_offset(self):
         # a pulse arriving in 0.04 implies its source fired 0.06 ago
         params = make_params()
@@ -442,6 +452,20 @@ class TestGroups:
         assert net.phases.tolist() == [0.3, 0.8, 0.3, 0.8, 0.3, 0.5]
         assert (net.top, net.bottom) == (0.8, 0.3)
 
+    def test_initial_groups_hold_no_arrays(self):
+        # Construction and renormalization keep an initial group's members
+        # as its index, so setting up a large network builds no array per group.
+        n = 10_000
+        net = pc.NetworkState(make_params(n=n, epsilon=0.1 / n), pc.sample_phases(7, n))
+        members = net._groups.members
+        assert len(members) == n
+        assert not any(isinstance(m, np.ndarray) for m in members)
+        net._groups.renormalize()
+        assert not any(isinstance(m, np.ndarray) for m in net._groups.members)
+        net.step()  # the front oscillator fires alone
+        arrays = [m for m in net._groups.members if isinstance(m, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is net._groups.pending[0][1]
+
     def test_saturated_refire_splits_groups(self):
         # The saturation check fails, so groups fire again while their own
         # volley is in flight; that volley then covers part of a group.
@@ -510,7 +534,7 @@ class TestGroups:
         for _ in net.run(10.0):
             epochs.add(net._groups.epoch)
             before = net.phases
-            net._groups.renormalize(net._pending)
+            net._groups.renormalize()
             assert np.array_equal(net.phases, before)
         assert len(epochs) >= 4
         assert_groups(net)
