@@ -36,18 +36,20 @@ independent of n.
 
 Groups also owns the queue, the running minimum gap between two firings of
 one oscillator and the constants epsilon / I, tau, tol_time and
-1 - tol_phase.  The queue is a deque of volleys (arrival_time, sources,
-link) in arrival order, one per firing event.  link is the w its source
-group had when it was reset, or None for injected pulses; the arriving
-volley takes the fast path when a group with that w still holds exactly its
-sources.  Every new volley is due at event_time + tau, no earlier than any
-pending one, so the queue stays sorted without sorting.
+1 - tol_phase.  Only Groups knows the queue's layout: volleys (arrival_time,
+sources, link) in arrival order, one per firing event, read through pulses()
+and replaced through load().  link is the w the source group had when it was
+reset, or NaN (equal to no w, renormalized to NaN) for loaded pulses; the
+arriving volley takes the fast path when a group with that w still holds
+exactly its sources.  Every new volley is due at event_time + tau, no earlier
+than any pending one, so the queue stays sorted without sorting.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
     at the current instant reads exactly 0.0;
   - phase(-1) is the largest phase and phase(0) the smallest, bit-equal to
     the maximum and minimum of phases();
+  - pulses() lists the pulses in flight with nondecreasing arrival times;
   - an oscillator never receives its own pulse (m_i = arrivals from others);
   - a receiver pushed to or past threshold fires in the same event;
   - the returned arrived and fired arrays are read-only, fired ascending.
@@ -102,7 +104,9 @@ class Groups:
         cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
         count = cuts.shape[0] + 1
         if count < n:
-            # Equal phases: list each group's members in index order.
+            # Equal phases: list each group's members in index order.  Sampled
+            # phases are distinct and skip this slower stable sort (0.82 against
+            # 0.17 ms at n = 10^4, 11.4 against 2.3 ms at n = 10^5, timeit).
             order = np.argsort(phases, kind="stable")
         self.n = n
         self.a = a
@@ -116,7 +120,7 @@ class Groups:
         self.members = deque(range(count))
         self.last = deque([-math.inf]) * count
         # Volleys (arrival_time, read-only int64 sources, link), in arrival order.
-        self.pending: deque[tuple[float, np.ndarray, float | None]] = deque()
+        self.pending: deque[tuple[float, np.ndarray, float]] = deque()
         self.pulse, self.tau = pulse, tau
         self.tol_time, self.threshold = tol_time, threshold
         self.min_gap = math.inf
@@ -169,6 +173,12 @@ class Groups:
         out[np.concatenate(arrays)] = np.repeat(values, [a.shape[0] for a in arrays])
         return _read_only(out)
 
+    def pulses(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pulses in flight as (arrival times, sources), in queue order."""
+        volleys = self.pending
+        times = np.repeat([v[0] for v in volleys], [v[1].shape[0] for v in volleys])
+        return times, np.concatenate([_NONE, *(v[1] for v in volleys)])
+
     # ------------------------------------------------------------------
     # changing the state
 
@@ -180,11 +190,17 @@ class Groups:
         """
         remap = self._phase
         self.w = deque(map(remap, self.w))
-        self.pending = deque(
-            (t, src, None if w is None else remap(w)) for t, src, w in self.pending
-        )
+        self.pending = deque((t, src, remap(w)) for t, src, w in self.pending)
         self.epoch = self.now
         self.gamma = 0.0
+
+    def load(self, pulses: list) -> None:
+        """Replace the queue with one unlinked single-source volley per
+        (arrival_time, source) pair, in the given order."""
+        self.pending = deque(
+            (float(t), _read_only(np.array([s], dtype=np.int64)), math.nan)
+            for t, s in pulses
+        )
 
     def _move(self, i: int, w: float) -> None:
         """Give the group at index i the lower w, keeping the order."""
@@ -211,16 +227,13 @@ class Groups:
         ws, members = self.w, self.members
         loose = []
         for _, src, link in volleys:
-            if link is not None:
-                # The fast path: the volley's whole source group, found by w.
-                i = bisect_left(ws, link)
-                while i < len(ws) and ws[i] == link:
-                    if members[i] is src:
-                        self._move(i, math.log(math.exp(a * link) + d) / a)
-                        break
-                    i += 1
-                else:
-                    loose.append(src)
+            # The fast path: the volley's whole source group, found by w.
+            i = bisect_left(ws, link)
+            while i < len(ws) and ws[i] == link:
+                if members[i] is src:
+                    self._move(i, math.log(math.exp(a * link) + d) / a)
+                    break
+                i += 1
             else:
                 loose.append(src)
         if loose:

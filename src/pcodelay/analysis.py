@@ -599,7 +599,8 @@ def desync_trial(
     synchrony verdict is evaluated at t=0 and after every event (it cannot
     appear between events: phases drift rigidly and nothing lands), and a
     synchronized network stays synchronized, so a trial stops early once
-    detected.  Spreads and cluster counts are taken at the horizon.
+    detected.  Spreads and cluster counts are taken where each trial stops:
+    at its first synchronized instant, or else at the horizon.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

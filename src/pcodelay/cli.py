@@ -318,6 +318,10 @@ def cmd_returnmap(args) -> int:
     cfg, _ = _prepare(args)
     if cfg.returnmap is None:
         raise ConfigError("returnmap requires 'returnmap' in the config")
+    if cfg.output and cfg.output.format != "csv":
+        raise ConfigError(
+            f"output.format: returnmap writes csv only, got {cfg.output.format!r}"
+        )
     rm = cfg.returnmap
     n = cfg.params.coupling.n
     thetas, ps = _orbit_columns(

@@ -30,9 +30,7 @@ __all__ = [
     "f_eval",
     "f_inv",
     "curve_slope",
-    "log_ratio",
     "jump",
-    "bind_jump",
     "validate_assumptions",
 ]
 

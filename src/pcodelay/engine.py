@@ -20,9 +20,9 @@ the command-line layer turns into byte-identical output files.
 
 One kernel state, _kernel.Groups, holds all an event reads or changes: the
 clock, the oscillators as groups of equal state in one affine frame, the
-pulses in flight as volleys (one (arrival_time, sources, link) triple per
-firing event, in arrival order) and the running min_interfire_gap, which
-costs O(groups fired) since each group keeps the time it last fired.  An
+pulses in flight (read through Groups.pulses(), injected through
+Groups.load()) and the running min_interfire_gap, which costs O(groups
+fired) since each group keeps the time it last fired.  An
 event costs O(groups touched) whatever n is: a drift moves the clock, an
 arrival shifts one scalar for every receiver and moves its source group
 back, and a firing pops groups from the front.  step() hands each event to
@@ -42,7 +42,6 @@ reports up to the horizon; callers stop it early or stream it into audit_run.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -159,7 +158,7 @@ class NetworkState:
 
     It holds params, the kernel state (_kernel.Groups: clock, groups of
     equal phase, pending volleys, minimum gap) and a memo of top.  The
-    pipeline view flattens the volleys to one PendingSpike per pulse.
+    pipeline view lists Groups.pulses() as one PendingSpike per pulse.
 
     Args:
         params: model definition.
@@ -220,11 +219,8 @@ class NetworkState:
     @property
     def pipeline(self) -> tuple[PendingSpike, ...]:
         """Pending pulses in arrival order."""
-        return tuple(
-            PendingSpike(t, s)
-            for t, sources, _ in self._groups.pending
-            for s in sources.tolist()
-        )
+        times, sources = self._groups.pulses()
+        return tuple(map(PendingSpike, times.tolist(), sources.tolist()))
 
     @property
     def min_interfire_gap(self) -> float:
@@ -242,25 +238,21 @@ class NetworkState:
         due[i, :counts[i]] holds their arrival times in ascending order;
         the rest of each row is 0.0.
         """
-        n = self.n
-        if not self._groups.pending:
-            return np.zeros(n, dtype=np.int64), np.zeros((n, 0))
-        times, volleys, _ = zip(*self._groups.pending)
-        srcs = np.concatenate(volleys)
-        times = np.repeat(times, [v.shape[0] for v in volleys])
-        order = np.lexsort((times, srcs))
+        times, srcs = self._groups.pulses()
+        # Queue order is arrival order: a stable sort by source keeps times ascending.
+        order = np.argsort(srcs, kind="stable")
         srcs = srcs[order]
-        counts = np.bincount(srcs, minlength=n)
+        counts = np.bincount(srcs, minlength=self.n)
         # Each pulse's column: its rank among the pulses from its source.
         column = np.arange(srcs.shape[0]) - (np.cumsum(counts) - counts)[srcs]
-        due = np.zeros((n, int(counts.max())))
+        due = np.zeros((self.n, int(counts.max())))
         due[srcs, column] = times[order]
         return counts, due
 
     def __repr__(self) -> str:
         return (
             f"NetworkState(n={self.n}, now={self.now!r}, "
-            f"pending={sum(v.shape[0] for _, v, _ in self._groups.pending)})"
+            f"pending={self._groups.pulses()[1].shape[0]})"
         )
 
     def copy(self) -> "NetworkState":
@@ -375,14 +367,7 @@ class NetworkState:
                         f"arriving in {remaining} implies phase {implied}"
                     )
             incoming.append(spike)
-        if not incoming:
-            return
-        # One single-source volley per pulse, so that arrivals keep
-        # (time, source) order however the pulses were grouped before.  They
-        # carry no link: their sources need not be one whole group.
-        pending = deque()
-        for t, s in sorted(list(self.pipeline) + incoming):
-            volley = np.array([s], dtype=np.int64)
-            volley.flags.writeable = False
-            pending.append((float(t), volley, None))
-        self._groups.pending = pending
+        if incoming:
+            # One pulse per volley, so that arrivals keep (time, source)
+            # order however the pulses were grouped before.
+            self._groups.load(sorted([*self.pipeline, *incoming]))

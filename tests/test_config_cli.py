@@ -576,6 +576,16 @@ class TestReturnmapCommand:
         code, out, err = run_cli(capsys, "returnmap", path)
         assert code == 1
 
+    def test_svg_format_exits_1_and_writes_nothing(self, write_config, tmp_path, capsys):
+        out_path = tmp_path / "orbit.svg"
+        cfg = self.rm_cfg()
+        cfg["output"] = {"format": "svg", "path": str(out_path)}
+        code, out, err = run_cli(capsys, "returnmap", write_config(cfg))
+        assert code == 1
+        assert "output.format" in err
+        assert out == ""
+        assert not out_path.exists()
+
 
 class TestCounterexampleCommand:
     def test_two_oscillator_construction(self, write_config, capsys):
@@ -608,6 +618,28 @@ class TestCounterexampleCommand:
         code, out, err = run_cli(capsys, "counterexample", path)
         assert code == 1
         assert "infeasible" in err
+
+
+class TestRuntimeFailures:
+    def test_unwritable_output_exits_3(self, write_config, tmp_path, capsys):
+        path = write_config(base_config(n=10, horizon=None, strobe={"ref": 0, "frames": 3}))
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "strobe", path, "--output", str(target))
+        assert code == 3
+        assert "i/o error" in err
+        assert not target.parent.exists()
+
+    def test_engine_failure_exits_3(self, write_config, capsys, monkeypatch):
+        class Failing(pc.NetworkState):
+            def step(self):
+                raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(pcodelay.cli, "NetworkState", Failing)
+        path = write_config(base_config(n=10, seed=3, horizon=10.0))
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 3
+        assert "runtime error: injected failure" in err
+        assert out == ""
 
 
 def test_module_entry_point(write_config, src_on_pythonpath):

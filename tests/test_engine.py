@@ -297,6 +297,33 @@ class TestPipeline:
         assert dup.pipeline != before
         assert net.pipeline == after
 
+    def test_pulses_stay_in_arrival_order(self):
+        # Saturated: groups fire again within tau, so sources have two
+        # pulses in flight and the per-source view must order them by time.
+        params = make_params(n=30, epsilon=0.02, tau=0.3)
+        net = pc.NetworkState(params, pc.sample_phases(303, 30))
+        most = 0
+        for _ in net.run(30.0):
+            times, sources = net._groups.pulses()
+            assert np.all(np.diff(times) >= 0.0)
+            counts, due = net._pending_by_source()
+            assert counts.tolist() == np.bincount(sources, minlength=30).tolist()
+            for i in range(30):
+                assert due[i, :counts[i]].tolist() == sorted(times[sources == i].tolist())
+            most = max(most, int(counts.max()))
+        assert most == 2
+
+    def test_pipeline_and_repr_agree_with_pulses(self):
+        params = make_params(n=30, epsilon=0.02, tau=0.3)
+        net = pc.NetworkState(params, pc.sample_phases(303, 30))
+        net.inject_pending([(0.05, 3), (0.05, 3), (0.07, 11)])
+        for _ in itertools.chain([None], itertools.islice(net.run(), 300)):
+            times, sources = net._groups.pulses()
+            assert net.pipeline == tuple(
+                pc.PendingSpike(t, s) for t, s in zip(times.tolist(), sources.tolist())
+            )
+            assert repr(net).endswith(f"pending={sources.shape[0]})")
+
     def test_queue_compaction_and_growth(self):
         # a queue far longer than one event's volley drains to at most one
         # pending pulse per source
@@ -495,6 +522,23 @@ class TestGroups:
                     jump(curve, 0.001, 0.85, 1)]
         assert np.abs(net.phases - expected).max() <= 1e-13
         assert net.phases[1] == net.phases[2] > net.phases[0]
+
+    def test_injected_volleys_stay_unlinked(self):
+        # A loaded volley's link is NaN, which matches no group, and
+        # renormalization keeps it NaN; the arrivals still follow the model.
+        params = make_params(n=4)
+        phases = [0.3, 0.3, 0.3, 0.8]
+        injected = [(0.05, 0), (0.07, 3)]
+        net = pc.NetworkState(params, phases)
+        net.inject_pending(injected)
+        net.drift_to(0.02)
+        net._groups.renormalize()
+        assert net._groups.epoch == 0.02
+        assert [math.isnan(link) for _, _, link in net._groups.pending] == [True, True]
+        got = [(r.event_time, r.arrival_sources, r.fired) for r in net.run(3.0)]
+        want = list(reference_run(params, phases, 3.0, injected))
+        assert [g[1:] for g in got] == [w[1:] for w in want]
+        assert np.abs(np.subtract([g[0] for g in got], [w[0] for w in want])).max() <= 1e-12
 
     def test_duplicate_injected_sources(self):
         # The same pulse twice: its source absorbs none of the pair, the rest
