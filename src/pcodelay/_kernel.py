@@ -35,20 +35,25 @@ it touches on demand.  The cost of an event is therefore O(groups touched),
 independent of n.
 
 Groups also owns the queue, the running minimum gap between two firings of
-one oscillator and the constants epsilon / I, tau, tol_time and
-1 - tol_phase.  Only Groups knows the queue's layout: volleys (arrival_time,
-sources, link) in arrival order, one per firing event, read through pulses()
-and replaced through load().  link is the w the source group had when it was
-reset, or NaN (equal to no w, renormalized to NaN) for loaded pulses; the
-arriving volley takes the fast path when a group with that w still holds
-exactly its sources.  Every new volley is due at event_time + tau, no earlier
-than any pending one, so the queue stays sorted without sorting.
+one oscillator, the constants epsilon / I, tau, tol_time and 1 - tol_phase,
+and the event rule: next_event() is the earlier of the front group's
+threshold crossing and the first arrival, drift(t) moves the clock, and
+step_once tells a crossing from an arrival.  Only Groups knows the queue's
+layout: volleys (arrival_time, sources, link) in arrival order, one per
+firing event, read through pulses() and replaced through load().  link is
+the w the source group had when it was reset, or NaN (equal to no w,
+renormalized to NaN) for loaded pulses; the arriving volley takes the fast
+path when a group with that w still holds exactly its sources.  Every new
+volley is due at event_time + tau, no earlier than any pending one, so the
+queue stays sorted without sorting.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
     at the current instant reads exactly 0.0;
   - phase(-1) is the largest phase and phase(0) the smallest, bit-equal to
     the maximum and minimum of phases();
+  - top is phase(-1), bit for bit, after every change: fire() and drift()
+    set it, and renormalize() and load() change no phase;
   - pulses() lists the pulses in flight with nondecreasing arrival times;
   - an oscillator never receives its own pulse (m_i = arrivals from others);
   - a receiver pushed to or past threshold fires in the same event;
@@ -91,7 +96,7 @@ class Groups:
     __slots__ = (
         "n", "a", "s_max", "now", "epoch", "gamma", "w", "members", "last",
         "_order", "_bounds", "pending", "pulse", "tau", "tol_time", "threshold",
-        "min_gap",
+        "min_gap", "top",
     )
 
     def __init__(
@@ -108,12 +113,9 @@ class Groups:
             # phases are distinct and skip this slower stable sort (0.82 against
             # 0.17 ms at n = 10^4, 11.4 against 2.3 ms at n = 10^5, timeit).
             order = np.argsort(phases, kind="stable")
-        self.n = n
-        self.a = a
+        self.n, self.a = n, a
         self.s_max = math.log(_ALPHA_MIN) / a
-        self.now = 0.0
-        self.epoch = 0.0
-        self.gamma = 0.0
+        self.now = self.epoch = self.gamma = 0.0
         self._order = _read_only(order)
         self._bounds = np.concatenate(([0], cuts, [n]))
         self.w = deque(ranked[self._bounds[:-1]].tolist())
@@ -124,6 +126,7 @@ class Groups:
         self.pulse, self.tau = pulse, tau
         self.tol_time, self.threshold = tol_time, threshold
         self.min_gap = math.inf
+        self.top = self.phase(-1)
 
     def copy(self) -> "Groups":
         dup = object.__new__(Groups)
@@ -173,6 +176,12 @@ class Groups:
         out[np.concatenate(arrays)] = np.repeat(values, [a.shape[0] for a in arrays])
         return _read_only(out)
 
+    def next_event(self) -> float:
+        """Time of the next pulse arrival or threshold crossing."""
+        t = self.now + (1.0 - self.top)
+        pending = self.pending
+        return pending[0][0] if pending and pending[0][0] < t else t
+
     def pulses(self) -> tuple[np.ndarray, np.ndarray]:
         """The pulses in flight as (arrival times, sources), in queue order."""
         volleys = self.pending
@@ -182,10 +191,16 @@ class Groups:
     # ------------------------------------------------------------------
     # changing the state
 
+    def drift(self, t: float) -> None:
+        """Move the clock to t, which no event precedes."""
+        self.now = t
+        self.top = self.phase(-1)
+
     def renormalize(self) -> None:
         """Start a new frame at now: every w becomes its group's phase.
 
-        The phases read the same before and after.  Volley links are mapped
+        The phases read the same before and after, top included: phase p
+        becomes w = p, read back as 0.0 + w == p.  Volley links are mapped
         by the same function, so they still match their groups bit for bit.
         """
         remap = self._phase
@@ -271,20 +286,23 @@ class Groups:
         """Reset every front group at or above threshold (and the front one
         if force); return (fired, latest previous firing, the reset w).
 
-        fired is empty when nobody fires, and the groups are then unchanged.
+        fired is empty when nobody fires, and the groups are then unchanged;
+        either way top is left at the front group's phase.
         """
-        if not (force or self.phase(-1) >= self.threshold):
-            return _QUIET
+        top = 1.0 if force else self.phase(-1)
         ws, members, last = self.w, self.members, self.last
         arrays = []
         latest = -math.inf
-        while True:
+        while top >= self.threshold:
             _, m, t = ws.pop(), members.pop(), last.pop()
             arrays.append(self._initial(m) if type(m) is int else m)
             if t > latest:
                 latest = t
-            if not ws or self.phase(-1) < self.threshold:
-                break
+            # Once every group has fired, the reset group is the front.
+            top = self.phase(-1) if ws else 0.0
+        self.top = top
+        if not arrays:
+            return _QUIET
         if len(arrays) == 1:
             fired = arrays[0]
         else:
@@ -300,17 +318,18 @@ class Groups:
         return fired, latest, w
 
 
-def step_once(groups, t_event, crossing):
+def step_once(groups, t_event):
     """Advance to t_event and process the event there.
 
-    crossing says that t_event is the front group's threshold crossing; that
-    group then fires even if rounding of the clock left it short of
-    1 - tol_phase.  Returns (arrived, fired): the sources of every pulse
-    consumed, in queue order, and the oscillators reset.  Both arrays are
-    empty only when t_event is neither a crossing nor an arrival.
+    When t_event is the front group's threshold crossing, as next_event()
+    predicts it, that group fires even if rounding of the clock left it
+    short of 1 - tol_phase.  Returns (arrived, fired): the sources of every
+    pulse consumed, in queue order, and the oscillators reset.  Both arrays
+    are empty only when t_event is neither a crossing nor an arrival.
     """
     if t_event < groups.now:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
+    crossing = t_event >= groups.now + (1.0 - groups.top)
     if t_event - groups.epoch > groups.s_max:
         groups.renormalize()
     groups.now = t_event

@@ -193,22 +193,21 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"curve: {exc}") from exc
 
-    tol_time, tol_phase, cluster_tol = 1e-9, 1e-12, _DEFAULT_CLUSTER_TOL
+    # ModelParams keeps the defaults of the engine's tolerances; pass only
+    # those the config sets.
+    model_tols, cluster_tol = {}, _DEFAULT_CLUSTER_TOL
     if "tolerances" in raw:
         tol_raw = _expect(raw, "tolerances", "object")
         _reject_unknown(tol_raw, {"tol_time", "tol_phase", "cluster_tol"}, "tolerances")
-        if "tol_time" in tol_raw:
-            tol_time = float(_expect(tol_raw, "tol_time", "number", "tolerances"))
-        if "tol_phase" in tol_raw:
-            tol_phase = float(_expect(tol_raw, "tol_phase", "number", "tolerances"))
+        for key in ("tol_time", "tol_phase"):
+            if key in tol_raw:
+                model_tols[key] = float(_expect(tol_raw, key, "number", "tolerances"))
         if "cluster_tol" in tol_raw:
             cluster_tol = float(_expect(tol_raw, "cluster_tol", "number", "tolerances"))
             if not cluster_tol > 0.0:
                 raise ConfigError("tolerances.cluster_tol: must be > 0")
     try:
-        params = ModelParams(
-            curve=curve, coupling=coupling, tol_time=tol_time, tol_phase=tol_phase
-        )
+        params = ModelParams(curve=curve, coupling=coupling, **model_tols)
     except ValueError as exc:
         raise ConfigError(f"tolerances: {exc}") from exc
 

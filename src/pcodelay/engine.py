@@ -18,22 +18,12 @@ firing share one bit pattern.  Runs are deterministic: identical params,
 initial phases and injected pulses give bit-identical trajectories, which
 the command-line layer turns into byte-identical output files.
 
-One kernel state, _kernel.Groups, holds all an event reads or changes: the
-clock, the oscillators as groups of equal state in one affine frame, the
-pulses in flight (read through Groups.pulses(), injected through
-Groups.load()) and the running min_interfire_gap, which costs O(groups
-fired) since each group keeps the time it last fired.  An
-event costs O(groups touched) whatever n is: a drift moves the clock, an
-arrival shifts one scalar for every receiver and moves its source group
-back, and a firing pops groups from the front.  step() hands each event to
-_kernel.step_once and raises RuntimeError on an event that makes no
-progress.  A threshold crossing fires the front group directly, so rounding
-of a large absolute clock cannot leave it short of threshold.  `top` and
-`bottom`, the largest and smallest phase, come from the front and back
-groups; `phases` is materialized from the groups on read.  The state keeps
-no firing history; a caller that needs one reads it off the StepReports,
-which hold the kernel's read-only arrays and build their tuples only when
-first read.
+The state is one _kernel.Groups: the clock, the oscillators as groups of
+equal phase, the pulses in flight and the rule that picks the next event.
+This module validates what comes from outside and builds the reports.  The
+state keeps no firing history; a caller that needs one reads it off the
+StepReports, which hold the kernel's read-only arrays and build their tuples
+only when first read.
 
 run(horizon) is the one stepping loop, a lazy generator of step()'s
 reports up to the horizon; callers stop it early or stream it into audit_run.
@@ -42,6 +32,7 @@ reports up to the horizon; callers stop it early or stream it into audit_run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -156,9 +147,9 @@ class NetworkState:
     flight, which a fresh state does not have; use inject_pending to build
     such configurations).
 
-    It holds params, the kernel state (_kernel.Groups: clock, groups of
-    equal phase, pending volleys, minimum gap) and a memo of top.  The
-    pipeline view lists Groups.pulses() as one PendingSpike per pulse.
+    It holds params and the kernel state, _kernel.Groups, which also picks
+    the next event and keeps top exact.  The pipeline view lists
+    Groups.pulses() as one PendingSpike per pulse.
 
     Args:
         params: model definition.
@@ -184,8 +175,6 @@ class NetworkState:
             phases, log_ratio(params.curve), params.coupling.epsilon / params.curve.i,
             params.coupling.tau, params.tol_time, 1.0 - params.tol_phase,
         )
-        # top, worked out at most once per state; None after every change.
-        self._top: float | None = None
 
     # ------------------------------------------------------------------
     # views
@@ -206,10 +195,7 @@ class NetworkState:
     @property
     def top(self) -> float:
         """The largest phase, the front group's: equal to phases.max()."""
-        top = self._top
-        if top is None:
-            top = self._top = self._groups.phase(-1)
-        return top
+        return self._groups.top
 
     @property
     def bottom(self) -> float:
@@ -263,7 +249,6 @@ class NetworkState:
         dup = object.__new__(NetworkState)
         dup.params = self.params
         dup._groups = self._groups.copy()
-        dup._top = self._top
         return dup
 
     # ------------------------------------------------------------------
@@ -271,11 +256,7 @@ class NetworkState:
 
     def next_event_time(self) -> float:
         """Time of the next pulse arrival or threshold crossing."""
-        t = self._groups.now + (1.0 - self.top)
-        pending = self._groups.pending
-        if pending and pending[0][0] < t:
-            t = pending[0][0]
-        return t
+        return self._groups.next_event()
 
     def step(self) -> StepReport:
         """Advance to next_event_time() and process the event there.
@@ -285,9 +266,7 @@ class NetworkState:
         nor a crossing, and stepping again would repeat the empty event.
         """
         t_event = self.next_event_time()
-        crossing = t_event >= self._groups.now + (1.0 - self.top)
-        self._top = None
-        arrived, fired = _kernel.step_once(self._groups, t_event, crossing)
+        arrived, fired = _kernel.step_once(self._groups, t_event)
         if fired.shape[0] == 0 and arrived.shape[0] == 0:
             raise RuntimeError(
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
@@ -298,20 +277,18 @@ class NetworkState:
     def drift_to(self, t: float) -> None:
         """Advance the clock to t with no intervening event.
 
-        Raises if an event falls in (now, t); callers step() past events
-        first.  Drifting exactly onto an event time is allowed; the event
-        then runs with zero drift on the next step().
+        Raises ValueError if t precedes now or is NaN, or if an event falls
+        in (now, t); callers step() past events first.  Drifting exactly onto
+        an event time is allowed; the event then runs with zero drift.
         """
-        now = self._groups.now
-        if t < now:
-            raise ValueError(f"cannot drift backwards: now={now}, t={t}")
+        if not t >= self.now:
+            raise ValueError(f"cannot drift backwards: now={self.now}, t={t}")
         t_next = self.next_event_time()
         if t > t_next:
             raise ValueError(
                 f"an event occurs at {t_next} before t={t}; step() past it first"
             )
-        self._groups.now = t
-        self._top = None
+        self._groups.drift(t)
 
     def run(self, horizon: float = math.inf) -> Iterator[StepReport]:
         """Yield step() for every event with time <= horizon, in order.
@@ -320,9 +297,9 @@ class NetworkState:
         is left at or before a finite horizon, the state drifts to it (with
         the default horizon the run never ends); a caller that stops early
         leaves the state at the last event it was given.  Raises ValueError
-        on the first next() if horizon precedes the current time.
+        on the first next() if horizon precedes the current time or is NaN.
         """
-        if horizon < self.now:
+        if not horizon >= self.now:
             raise ValueError(f"horizon {horizon} precedes current time {self.now}")
         while self.next_event_time() <= horizon:
             yield self.step()
@@ -351,6 +328,10 @@ class NetworkState:
         incoming = []
         for item in spikes:
             spike = PendingSpike(*item)
+            try:
+                spike = spike._replace(source=operator.index(spike.source))
+            except TypeError:
+                raise ValueError(f"source {spike.source!r} is not an integer") from None
             if not 0 <= spike.source < self.n:
                 raise ValueError(f"source {spike.source} out of range")
             if not now < spike.arrival_time <= now + tau:

@@ -22,6 +22,37 @@ def make_params(n, epsilon, tau, i=1.05, **kw):
     )
 
 
+# One call per rejection branch of the analysis functions, the error it
+# raises and the start of its message.
+_PAIR = make_params(2, 0.001, 0.1)
+_TEN = make_params(10, 0.001, 0.1)
+REJECTED = [
+    ("window=0", lambda: stable_cluster_count([2, 2], window=0), "window"),
+    ("frames=-1",
+     lambda: next(pc.stroboscopic_run(pc.NetworkState(_PAIR, [0.5, 0.9]), frames=-1)),
+     "frames"),
+    ("theta=1", lambda: pc.TwoCliqueState(theta=1.0, p=5, q=5), "theta"),
+    ("p=0", lambda: pc.TwoCliqueState(theta=0.1, p=0, q=10), "clique sizes must"),
+    ("oracle-sizes",
+     lambda: pc.two_clique_oracle_step(pc.TwoCliqueState(0.1, 4, 5), _TEN),
+     "clique sizes 4"),
+    ("oracle-theta=0",
+     lambda: pc.two_clique_oracle_step(pc.TwoCliqueState(0.0, 5, 5), _TEN),
+     "oracle needs"),
+    ("trials=0",
+     lambda: pc.desync_trial(_PAIR, lambda t: [0.5, 0.9], horizon=1.0, trials=0),
+     "trials"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, start", [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED]
+)
+def test_rejected_arguments_raise_value_error(call, start):
+    with pytest.raises(ValueError, match=f"^{start}"):
+        call()
+
+
 class TestSyncVerdict:
     def test_identical_fresh_states_are_synchronized(self, pair_params):
         net = pc.NetworkState(pair_params, [0.5, 0.5])
@@ -479,6 +510,11 @@ class TestTwoCliqueMap:
             pc.TwoCliqueState(theta=0.0, p=3, q=3), 5, std_curve, coupling
         )
         assert all(s.theta == 0.0 for s in orbit)
+
+    def test_iterate_zero_steps_is_the_initial_state(self, std_curve):
+        coupling = pc.CouplingParams(n=6, epsilon=0.001, tau=0.1)
+        state = pc.TwoCliqueState(theta=0.1, p=3, q=3)
+        assert pc.iterate_return_map(state, 0, std_curve, coupling) == [state]
 
     def test_iterate_rejects_negative_steps(self, std_curve):
         coupling = pc.CouplingParams(n=6, epsilon=0.001, tau=0.1)

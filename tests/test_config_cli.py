@@ -181,6 +181,27 @@ OVERSIZED = [
 ]
 
 
+# One invalid value per rejection branch of parse_config, and the field the
+# error must start with.
+REJECTED = [
+    ("tau", {"tau": 0.0}),
+    ("curve: ", {"curve": {"family": "ms_exponential", "i": 1.0}}),
+    ("tolerances: tol_time", {"tolerances": {"tol_time": 0.01}}),
+    ("tolerances.cluster_tol", {"tolerances": {"cluster_tol": 0.0}}),
+    ("init.phases[1]", {"n": 2, "init": {"mode": "explicit", "phases": [0.5, "x"]}}),
+    ("init.mode", {"init": {"mode": "gaussian"}}),
+    ("horizon", {"horizon": 0.0}),
+    ("strobe.frames", {"horizon": None, "strobe": {"ref": 0, "frames": 0}}),
+    ("output.format", {"output": {"format": "png"}}),
+    ("output.path", {"output": {"format": "csv", "path": ""}}),
+    ("returnmap.theta", {"returnmap": {"theta": 1.0, "p": 50, "q": 50, "steps": 1}}),
+    ("returnmap.p", {"returnmap": {"theta": 0.1, "p": 0, "q": 100, "steps": 1}}),
+    ("returnmap.steps", {"returnmap": {"theta": 0.1, "p": 50, "q": 50, "steps": 0}}),
+    ("returnmap.oracle_every",
+     {"returnmap": {"theta": 0.1, "p": 50, "q": 50, "steps": 1, "oracle_every": -1}}),
+]
+
+
 class TestValidateCommand:
     def test_reports_saturation_values(self, write_config, capsys):
         path = write_config(base_config())
@@ -220,6 +241,17 @@ class TestValidateCommand:
         code, out, err = run_cli(capsys, "validate", path)
         assert code == 1
         assert err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "field, overrides", REJECTED, ids=[field for field, _ in REJECTED]
+    )
+    def test_rejected_value_exits_1_naming_field(
+        self, write_config, capsys, field, overrides
+    ):
+        path = write_config(base_config(**overrides))
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 1
+        assert err.startswith(f"config error: {field}")
 
     def test_saturation_warning_without_strict(self, write_config, capsys):
         path = write_config(base_config(epsilon=0.02, tau=0.3))

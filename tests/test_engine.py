@@ -196,6 +196,19 @@ class TestRunHelpers:
         report = net.step()
         assert report.event_time == net.now
 
+    def test_nan_time_is_rejected_and_leaves_the_clock(self):
+        # NaN compares false both ways, so "t < now" let it through and the
+        # clock became NaN, after which every run stopped at once.
+        net = pc.NetworkState(make_params(), [0.5, 0.9])
+        list(net.run(0.3))
+        with pytest.raises(ValueError):
+            list(net.run(math.nan))
+        assert net.now == 0.3
+        with pytest.raises(ValueError):
+            net.drift_to(math.nan)
+        assert net.now == 0.3
+        assert list(net.run(1.0)) and net.now == 1.0
+
     def test_next_event_time_is_min_of_crossing_and_arrival(self):
         net = pc.NetworkState(make_params(), [0.5, 1.0])
         assert net.next_event_time() == 0.0
@@ -224,6 +237,16 @@ class TestPipeline:
         net.inject_pending([(0.05, 1)])
         assert net.next_event_time() == 0.05
         assert net.pipeline == (pc.PendingSpike(0.05, 1),)
+
+    def test_inject_pending_rejects_non_integer_source(self):
+        net = pc.NetworkState(make_params(), [0.5, 0.9])
+        for source in (1.7, 1.0, "1", None):
+            with pytest.raises(ValueError, match="not an integer"):
+                net.inject_pending([(0.05, source)])
+        assert net.pipeline == ()
+        net.inject_pending([(0.05, np.int64(1)), (0.06, True)])
+        assert net.pipeline == ((0.05, 1), (0.06, 1))
+        assert all(type(s.source) is int for s in net.pipeline)
 
     def test_repr_counts_pending_pulses(self):
         net = pc.NetworkState(make_params(n=4), [0.5, 1.0, 1.0, 0.3])
@@ -444,6 +467,26 @@ class TestCachedTop:
             self.assert_top(net)
             net.step()
             self.assert_top(net)
+
+    def test_whole_network_fires_as_one_group(self):
+        # Every group fires in one event, so the reset group becomes the
+        # front and top is exactly 0.0.
+        net = pc.NetworkState(make_params(n=5), [0.6] * 5)
+        self.assert_top(net)
+        report = net.step()
+        assert report.fired == (0, 1, 2, 3, 4)
+        assert bits(net.top) == bits(0.0)
+        self.assert_top(net)
+        self.run_checked(net, 3.0)
+
+    def test_renormalize_mid_run_keeps_top(self, headline_params):
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        list(net.run(1.2345))
+        top = net.top
+        net._groups.renormalize()
+        assert bits(net.top) == bits(top)
+        self.assert_top(net)
+        self.run_checked(net, 5.0)
 
     def test_inject_pending_keeps_top(self):
         net = pc.NetworkState(make_params(n=4), [0.5, 0.9, 0.2, 0.7])
