@@ -36,16 +36,17 @@ independent of n.
 
 Groups also owns the queue, the running minimum gap between two firings of
 one oscillator, the constants epsilon / I, tau, tol_time and 1 - tol_phase,
-and the event rule: next_event() is the earlier of the front group's
-threshold crossing and the first arrival, drift(t) moves the clock, and
-step_once tells a crossing from an arrival.  Only Groups knows the queue's
-layout: volleys (arrival_time, sources, link) in arrival order, one per
-firing event, read through pulses() and replaced through load().  link is
-the w the source group had when it was reset, or NaN (equal to no w,
-renormalized to NaN) for loaded pulses; the arriving volley takes the fast
-path when a group with that w still holds exactly its sources.  Every new
-volley is due at event_time + tau, no earlier than any pending one, so the
-queue stays sorted without sorting.
+and each part of an event: next_event() is the earlier of the front group's
+threshold crossing and the first arrival, drift(t) moves the clock, absorb()
+pops and delivers the volleys due, and fire() resets the groups at threshold,
+queues their volley and keeps min_gap; step_once is the rule alone.  Only
+Groups knows the queue's layout: volleys (arrival_time, sources, link) in
+arrival order, one per firing event, read through pulses() and replaced
+through load().  link is the w the source group had when it was reset, or
+NaN (equal to no w, renormalized to NaN) for loaded pulses; the arriving
+volley takes the fast path when a group with that w still holds exactly its
+sources.  Every new volley is due at event_time + tau, no earlier than any
+pending one, so the queue stays sorted without sorting.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
@@ -57,7 +58,7 @@ Contract:
   - pulses() lists the pulses in flight with nondecreasing arrival times;
   - an oscillator never receives its own pulse (m_i = arrivals from others);
   - a receiver pushed to or past threshold fires in the same event;
-  - the returned arrived and fired arrays are read-only, fired ascending.
+  - absorb() and fire() return read-only arrays, fired ascending.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ import numpy as np
 # The arrivals or firers of an event that has none.
 _NONE = np.empty(0, dtype=np.int64)
 _NONE.flags.writeable = False
-
-# What fire() returns when nobody fires.
-_QUIET = (_NONE, -math.inf, 0.0)
 
 # The frame is renormalized before alpha = exp(a * s) drops below this.
 _ALPHA_MIN = 1e-3
@@ -217,28 +215,42 @@ class Groups:
             for t, s in pulses
         )
 
+    def _insert(self, w: float, m, t: float, hi: int) -> None:
+        """Insert a group among the first hi, after those with equal w."""
+        j = bisect_right(self.w, w, 0, hi)
+        self.w.insert(j, w)
+        self.members.insert(j, m)
+        self.last.insert(j, t)
+
     def _move(self, i: int, w: float) -> None:
         """Give the group at index i the lower w, keeping the order."""
         ws = self.w
         if i == 0 or ws[i - 1] <= w:
             ws[i] = w
             return
-        members, last = self.members, self.last
-        m, t = members[i], last[i]
-        del ws[i], members[i], last[i]
-        j = bisect_right(ws, w, 0, i)
-        ws.insert(j, w)
-        members.insert(j, m)
-        last.insert(j, t)
+        m, t = self.members[i], self.last[i]
+        del ws[i], self.members[i], self.last[i]
+        self._insert(w, m, t, i)
 
-    def absorb(self, volleys: list, k: int) -> None:
-        """Deliver the volleys' k pulses, of epsilon / I each, to everyone
-        but their own sources."""
+    def absorb(self) -> np.ndarray:
+        """Pop the volleys due by now + tol_time, deliver their pulses (epsilon
+        / I each, to all but their own sources) and return their sources."""
+        pending = self.pending
+        limit = self.now + self.tol_time
+        if not pending or pending[0][0] > limit:
+            return _NONE
+        volleys = [pending.popleft()]
+        while pending and pending[0][0] <= limit:
+            volleys.append(pending.popleft())
+        if len(volleys) == 1:
+            arrived = volleys[0][1]
+        else:
+            arrived = _read_only(np.concatenate([v[1] for v in volleys]))
         if self.pulse == 0.0:
-            return
+            return arrived
         a = self.a
         d = self.pulse / math.exp(a * (self.now - self.epoch))
-        self.gamma -= k * d
+        self.gamma -= arrived.shape[0] * d
         ws, members = self.w, self.members
         loose = []
         for _, src, link in volleys:
@@ -253,6 +265,7 @@ class Groups:
                 loose.append(src)
         if loose:
             self._split(np.concatenate(loose), d)
+        return arrived
 
     def _split(self, sources: np.ndarray, d: float) -> None:
         """Own-pulse corrections for sources that are not one whole group.
@@ -277,17 +290,14 @@ class Groups:
                 part = _read_only(m[own == c])
                 parts.append((math.log(math.exp(a * w) + c * d) / a if c else w, part, t))
         for w, m, t in parts:
-            j = bisect_right(ws, w)
-            ws.insert(j, w)
-            members.insert(j, m)
-            last.insert(j, t)
+            self._insert(w, m, t, len(ws))
 
-    def fire(self, force: bool) -> tuple[np.ndarray, float, float]:
+    def fire(self, force: bool) -> np.ndarray:
         """Reset every front group at or above threshold (and the front one
-        if force); return (fired, latest previous firing, the reset w).
+        if force), queue their volley, lower min_gap and return the firers.
 
-        fired is empty when nobody fires, and the groups are then unchanged;
-        either way top is left at the front group's phase.
+        With nobody at threshold nothing changes and fired is empty; either
+        way top is left at the front group's phase.
         """
         top = 1.0 if force else self.phase(-1)
         ws, members, last = self.w, self.members, self.last
@@ -302,7 +312,7 @@ class Groups:
             top = self.phase(-1) if ws else 0.0
         self.top = top
         if not arrays:
-            return _QUIET
+            return _NONE
         if len(arrays) == 1:
             fired = arrays[0]
         else:
@@ -315,7 +325,13 @@ class Groups:
         ws.appendleft(w)
         members.appendleft(fired)
         last.appendleft(self.now)
-        return fired, latest, w
+        self.pending.append((self.now + self.tau, fired, w))
+        # min over firers of now - last equals now - max(last): the rounded
+        # subtraction is monotone in last.
+        gap = self.now - latest
+        if gap < self.min_gap:
+            self.min_gap = gap
+        return fired
 
 
 def step_once(groups, t_event):
@@ -333,26 +349,5 @@ def step_once(groups, t_event):
     if t_event - groups.epoch > groups.s_max:
         groups.renormalize()
     groups.now = t_event
-
-    pending = groups.pending
-    limit = t_event + groups.tol_time
-    if pending and pending[0][0] <= limit:
-        volleys = [pending.popleft()]
-        while pending and pending[0][0] <= limit:
-            volleys.append(pending.popleft())
-        if len(volleys) == 1:
-            arrived = volleys[0][1]
-        else:
-            arrived = _read_only(np.concatenate([v[1] for v in volleys]))
-        groups.absorb(volleys, arrived.shape[0])
-    else:
-        arrived = _NONE
-    fired, latest, w = groups.fire(crossing)
-    if fired.shape[0]:
-        pending.append((t_event + groups.tau, fired, w))
-        # min over firers of t_event - last equals t_event - max(last):
-        # the rounded subtraction is monotone in last.
-        gap = t_event - latest
-        if gap < groups.min_gap:
-            groups.min_gap = gap
-    return arrived, fired
+    arrived = groups.absorb()
+    return arrived, groups.fire(crossing)

@@ -35,7 +35,7 @@ from .curves import (
     jump,
     validate_assumptions,
 )
-from .engine import ModelParams, NetworkState, PendingSpike, StepReport
+from .engine import ModelParams, NetworkState, PendingSpike, StepReport, _source
 
 __all__ = [
     "StructuralError",
@@ -282,9 +282,11 @@ def audit_run(
 
     reports must be the complete event sequence from the state the audit
     describes; pass initial_pipeline when the run started with injected
-    pulses.  reports is consumed once, in order, so a generator that steps
-    the network streams the audit in O(n) memory.  Interfiring gaps are
-    taken from each firer's previous firing time in the reports.
+    pulses; its sources are checked as inject_pending checks them
+    (ValueError unless an integer in [0, n)).  reports is consumed once, in
+    order, so a generator that steps the network streams the audit in O(n)
+    memory.  Interfiring gaps are taken from each firer's previous firing
+    time in the reports.
     """
     tau = params.coupling.tau
     n = params.coupling.n
@@ -293,8 +295,7 @@ def audit_run(
     min_gap = math.inf
     events = 0
     for item in initial_pipeline:
-        spike = PendingSpike(*item)
-        pend[spike.source] += 1
+        pend[_source(PendingSpike(*item).source, n)] += 1
     max_pend = max(pend) if pend else 0
     violations: list[str] = []
 

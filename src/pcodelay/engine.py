@@ -32,6 +32,7 @@ reports up to the horizon; callers stop it early or stream it into audit_run.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -74,6 +75,17 @@ class PendingSpike(NamedTuple):
 
     arrival_time: float
     source: int
+
+
+def _source(s: object, n: int) -> int:
+    """s as an oscillator index in [0, n); ValueError naming it otherwise."""
+    try:
+        s = operator.index(s)
+    except TypeError:
+        raise ValueError(f"source {s!r} is not an integer") from None
+    if not 0 <= s < n:
+        raise ValueError(f"source {s} out of range")
+    return s
 
 
 def _ints(v: tuple[int, ...] | np.ndarray) -> tuple[int, ...]:
@@ -281,6 +293,8 @@ class NetworkState:
         in (now, t); callers step() past events first.  Drifting exactly onto
         an event time is allowed; the event then runs with zero drift.
         """
+        # A numpy float32 would compare and store in float32, 1e-7 off.
+        t = float(t) if isinstance(t, numbers.Real) else t
         if not t >= self.now:
             raise ValueError(f"cannot drift backwards: now={self.now}, t={t}")
         t_next = self.next_event_time()
@@ -299,6 +313,7 @@ class NetworkState:
         leaves the state at the last event it was given.  Raises ValueError
         on the first next() if horizon precedes the current time or is NaN.
         """
+        horizon = float(horizon) if isinstance(horizon, numbers.Real) else horizon
         if not horizon >= self.now:
             raise ValueError(f"horizon {horizon} precedes current time {self.now}")
         while self.next_event_time() <= horizon:
@@ -327,13 +342,11 @@ class NetworkState:
         phases = self.phases if enforce_phase_offset else None
         incoming = []
         for item in spikes:
-            spike = PendingSpike(*item)
-            try:
-                spike = spike._replace(source=operator.index(spike.source))
-            except TypeError:
-                raise ValueError(f"source {spike.source!r} is not an integer") from None
-            if not 0 <= spike.source < self.n:
-                raise ValueError(f"source {spike.source} out of range")
+            t, s = PendingSpike(*item)
+            if not isinstance(t, numbers.Real):
+                raise ValueError(f"arrival {t!r} is not a real number")
+            # float first: a numpy float32 would compare in float32.
+            spike = PendingSpike(float(t), _source(s, self.n))
             if not now < spike.arrival_time <= now + tau:
                 raise ValueError(
                     f"arrival {spike.arrival_time} outside ({now}, {now + tau}]"

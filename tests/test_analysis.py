@@ -397,6 +397,18 @@ class TestAuditRun:
         )
         assert audit.pending_ok
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [(-1, "source -1 out of range"), (5, "source 5 out of range"),
+         (1.7, "source 1.7 is not an integer")],
+    )
+    def test_initial_pipeline_rejects_bad_sources(self, source, message):
+        params = make_params(3, 0.001, 0.1)
+        with pytest.raises(ValueError, match=message):
+            pc.audit_run((), params, initial_pipeline=[(0.05, source)])
+        audit = pc.audit_run((), params, initial_pipeline=[(0.05, np.int64(2))])
+        assert audit.max_pending_per_source == 1
+
 
 class TestDesyncTrial:
     def test_identical_initial_phases_detected_immediately(self, std_curve):

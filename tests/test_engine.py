@@ -209,6 +209,28 @@ class TestRunHelpers:
         assert net.now == 0.3
         assert list(net.run(1.0)) and net.now == 1.0
 
+    def test_clock_stays_a_python_float(self):
+        # A float32 clock would put every later crossing off by about 1e-7,
+        # far above tol_time; an int clock prints as now=2.
+        params = make_params(n=3, epsilon=0.01, tau=0.1)
+        net = pc.NetworkState(params, [0.5, 0.6, 0.7])
+        list(net.run(2))
+        assert type(net.now) is float and repr(net).startswith("NetworkState(n=3, now=2.0,")
+        net.drift_to(np.float32(2.1))
+        assert type(net.now) is float
+        assert type(net.step().event_time) is float
+        net = pc.NetworkState(params, [0.5, 0.6, 0.7])
+        list(net.run(np.float32(0.45)))
+        assert type(net.now) is float
+        assert type(net.step().event_time) is float
+        # now rounds to t in float32, so a float32 comparison would let t pass.
+        t = np.float32(0.2)
+        net = pc.NetworkState(params, [0.5, 0.6, 0.7])
+        net.drift_to(float(t) + 1e-9)
+        with pytest.raises(ValueError, match="backwards"):
+            net.drift_to(t)
+        assert net.now == float(t) + 1e-9
+
     def test_next_event_time_is_min_of_crossing_and_arrival(self):
         net = pc.NetworkState(make_params(), [0.5, 1.0])
         assert net.next_event_time() == 0.0
@@ -247,6 +269,18 @@ class TestPipeline:
         net.inject_pending([(0.05, np.int64(1)), (0.06, True)])
         assert net.pipeline == ((0.05, 1), (0.06, 1))
         assert all(type(s.source) is int for s in net.pipeline)
+
+    def test_inject_pending_rejects_non_real_arrival(self):
+        net = pc.NetworkState(make_params(), [0.5, 0.9])
+        for arrival in ("0.05", None):
+            with pytest.raises(ValueError, match=f"arrival {arrival!r} is not"):
+                net.inject_pending([(0.04, 0), (arrival, 1)])
+        # float32(0.1) is 0.1000000015, past now + tau, though equal in float32.
+        with pytest.raises(ValueError, match="outside"):
+            net.inject_pending([(np.float32(0.1), 1)])
+        assert net.pipeline == ()
+        net.inject_pending([(np.float64(0.05), 0), (np.float32(0.0625), 1)])
+        assert net.pipeline == ((0.05, 0), (0.0625, 1))
 
     def test_repr_counts_pending_pulses(self):
         net = pc.NetworkState(make_params(n=4), [0.5, 1.0, 1.0, 0.3])
@@ -551,6 +585,27 @@ class TestGroups:
         assert audit.max_pending_per_source == 2
         want = [(a, f) for _, a, f in reference_run(params, phases, 30.0)]
         assert [(r.arrival_sources, r.fired) for r in reports] == want
+
+    @pytest.mark.parametrize("config", ["saturated", "headline"])
+    def test_fire_queues_its_volley_and_keeps_the_gap(self, config, headline_params):
+        # The firers' volley is queued by fire() itself: last in the queue,
+        # due at event_time + tau, its sources the reset (back) group.
+        if config == "saturated":
+            params, phases = make_params(n=30, epsilon=0.02, tau=0.3), pc.sample_phases(303, 30)
+        else:
+            params, phases = headline_params, pc.sample_phases(7, 100)
+        tau = params.coupling.tau
+        net = pc.NetworkState(params, phases)
+        reports = []
+        for rep in net.run(30.0):
+            reports.append(rep)
+            if rep._fired.shape[0]:
+                due, sources, _ = net._groups.pending[-1]
+                assert due == rep.event_time + tau
+                assert sources is net._groups.members[0] and sources is rep._fired
+        assert any(r._fired.shape[0] for r in reports)
+        gap = pc.audit_run(reports, params).min_interfire_gap
+        assert net.min_interfire_gap == gap and math.isfinite(gap)
 
     def test_inject_from_part_of_a_group(self):
         params = make_params(n=4)
