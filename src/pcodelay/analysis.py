@@ -424,20 +424,29 @@ def large_gap_branch(
 
 def _orbit_columns(
     initial: TwoCliqueState, steps: int, curve: CurveSpec, coupling: CouplingParams
-) -> tuple[list[float], list[int]]:
+) -> tuple[list[float], list[int], int, int]:
     """The orbit of the return map as columns: thetas[k] and ps[k].
 
     The k-th state is TwoCliqueState(thetas[k], ps[k], initial.p + initial.q
     - ps[k]).  The sizes and the saturation check are validated once, before
     the first step; each step then runs on plain floats and ints, checking
     every jump's phase and every new theta as TwoCliqueState would.
+
+    Also returns (start, period): from index start + period on, state k is
+    a copy of state start + (k - start) % period; period is 0, and start is
+    steps + 1, when no state repeats.  The copies are exact: the next state
+    is a pure function of (theta, p), since q = n - p and the leads depend
+    only on the sizes, so once a (theta, p) recurs bit for bit the orbit
+    repeats.  Brent's algorithm finds the repeat by comparing each state
+    with one saved state (index 1, 2, 4, ...).  Index 0 is never compared:
+    it may hold -0.0, which equals a later 0.0 but prints differently.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     theta, p, q = initial.theta, initial.p, initial.q
     thetas, ps = [theta], [p]
     if steps == 0:
-        return thetas, ps
+        return thetas, ps, 1, 0
     if p + q != coupling.n:
         raise ValueError(f"clique sizes {p}+{q} != network size {coupling.n}")
     if not validate_assumptions(curve, coupling).a2_holds:
@@ -447,7 +456,8 @@ def _orbit_columns(
     small, large = _branches(curve, coupling)
     tau = coupling.tau
     lead_p, lead_q = _lead(curve, coupling, p), _lead(curve, coupling, q)
-    for _ in range(steps):
+    saved_theta, saved_p, save_at = -1.0, 0, 1
+    for k in range(1, steps + 1):
         if theta == 0.0:
             theta = 0.0  # the merged network stays merged
         elif theta < tau:
@@ -459,7 +469,30 @@ def _orbit_columns(
             raise ValueError(f"theta must lie in [0, 1), got {theta}")
         thetas.append(theta)
         ps.append(p)
-    return thetas, ps
+        if theta == saved_theta and p == saved_p:
+            break
+        if k == save_at:
+            saved_theta, saved_p, save_at = theta, p, 2 * k
+    else:
+        return thetas, ps, steps + 1, 0
+    period = k - save_at // 2
+    start = 1
+    while thetas[start] != thetas[start + period] or ps[start] != ps[start + period]:
+        start += 1
+    _repeat_cycle(thetas, start, period, steps + 1)
+    _repeat_cycle(ps, start, period, steps + 1)
+    return thetas, ps, start, period
+
+
+def _repeat_cycle(column: list, start: int, period: int, length: int) -> None:
+    """Cut column to start + period entries, then repeat its last period
+    entries until it holds length entries.  period 0 leaves it unchanged."""
+    if not period:
+        return
+    del column[start + period:]
+    reps, extra = divmod(length - start - period, period)
+    column += column[start:] * reps
+    column += column[start:start + extra]
 
 
 def two_clique_map(
@@ -473,7 +506,7 @@ def two_clique_map(
     the clique sizes (the new gap is clamped at 0); gaps at or above it swap
     them.
     """
-    thetas, ps = _orbit_columns(state, 1, curve, coupling)
+    thetas, ps, _, _ = _orbit_columns(state, 1, curve, coupling)
     return TwoCliqueState(thetas[1], ps[1], coupling.n - ps[1])
 
 
@@ -483,11 +516,17 @@ def iterate_return_map(
     """Orbit [initial, map(initial), ...] with steps applications.
 
     initial.theta == 0 is allowed and produces the constant merged orbit.
-    The checks run once per orbit, not once per step.
+    The checks run once per orbit, not once per step.  Once the orbit
+    repeats, the list repeats the cycle's (frozen) state objects.
     """
-    thetas, ps = _orbit_columns(initial, steps, curve, coupling)
+    thetas, ps, start, period = _orbit_columns(initial, steps, curve, coupling)
     size = initial.p + initial.q
-    return [TwoCliqueState(theta, p, size - p) for theta, p in zip(thetas, ps)]
+    states = [
+        TwoCliqueState(theta, p, size - p)
+        for theta, p in zip(thetas[:start + period], ps)
+    ]
+    _repeat_cycle(states, start, period, steps + 1)
+    return states
 
 
 def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCliqueState:

@@ -31,6 +31,7 @@ from .analysis import (
     StructuralError,
     TwoCliqueState,
     _orbit_columns,
+    _repeat_cycle,
     _synchronized,
     audit_run,
     cluster_partition,
@@ -54,6 +55,8 @@ EXIT_RUNTIME = 3
 EXIT_AUDIT = 4
 
 _STABLE_WINDOW = 50
+# Rows per write: one string per chunk keeps memory bounded on long orbits.
+_CSV_CHUNK_ROWS = 4096
 
 
 class _StrictGateError(Exception):
@@ -324,21 +327,30 @@ def cmd_returnmap(args) -> int:
         )
     rm = cfg.returnmap
     n = cfg.params.coupling.n
-    thetas, ps = _orbit_columns(
+    thetas, ps, start, period = _orbit_columns(
         TwoCliqueState(rm.theta, rm.p, rm.q), rm.steps, cfg.params.curve,
         cfg.params.coupling,
     )
+    # Each distinct state is formatted once (.17g, as _fmt); the rows of a
+    # repeating cycle are copies.
+    rows = [f",{theta:.17g},{p},{n - p}," for theta, p in zip(thetas[:start + period], ps)]
+    _repeat_cycle(rows, start, period, len(thetas))
 
     deltas: list[str] = [""] * len(thetas)
     max_delta = None
     if rm.oracle_every > 0:
+        # The engine is deterministic, so a repeated input state gives the
+        # same oracle state; each distinct one runs the engine once.
+        oracles: dict[tuple[float, int], TwoCliqueState] = {}
         for step in range(rm.oracle_every, len(thetas), rm.oracle_every):
-            prev_theta = thetas[step - 1]
+            prev_theta, prev_p = thetas[step - 1], ps[step - 1]
             if prev_theta <= 0.0:
                 continue  # merged; the engine cycle is degenerate
-            oracle = two_clique_oracle_step(
-                TwoCliqueState(prev_theta, ps[step - 1], n - ps[step - 1]), cfg.params
-            )
+            oracle = oracles.get((prev_theta, prev_p))
+            if oracle is None:
+                oracle = oracles[prev_theta, prev_p] = two_clique_oracle_step(
+                    TwoCliqueState(prev_theta, prev_p, n - prev_p), cfg.params
+                )
             if (oracle.p, oracle.q) != (ps[step], n - ps[step]):
                 raise StructuralError(
                     f"oracle and map disagree on clique sizes at step {step}"
@@ -348,17 +360,20 @@ def cmd_returnmap(args) -> int:
             max_delta = delta if max_delta is None else max(max_delta, delta)
 
     with _output(args, cfg) as (stream, summary):
-        # One f-string per row: the same digits as _fmt, at half the cost.
         stream.write("step,theta,p,q,oracle_delta\n")
-        for s, (theta, p) in enumerate(zip(thetas, ps)):
-            stream.write(f"{s},{theta:.17g},{p},{n - p},{deltas[s]}\n")
+        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+            hi = lo + _CSV_CHUNK_ROWS
+            stream.write("".join([
+                f"{s}{row}{delta}\n"
+                for s, row, delta in zip(range(lo, hi), rows[lo:hi], deltas[lo:hi])
+            ]))
 
     _json_out(
         {
             "steps": rm.steps,
             "theta_initial": rm.theta,
             "theta_final": thetas[-1],
-            "min_theta": min(thetas),
+            "min_theta": min(thetas[:start + period]),
             "oracle_max_delta": max_delta,
         },
         stream=summary,

@@ -289,7 +289,8 @@ def parse_config(text: str) -> RunConfig:
     if "returnmap" in raw:
         rm_raw = _expect(raw, "returnmap", "object")
         _reject_unknown(rm_raw, {"theta", "p", "q", "steps", "oracle_every"}, "returnmap")
-        theta = float(_expect(rm_raw, "theta", "number", "returnmap"))
+        # + 0.0 turns -0.0 into 0.0, which is the same merged state.
+        theta = float(_expect(rm_raw, "theta", "number", "returnmap")) + 0.0
         p = _expect(rm_raw, "p", "integer", "returnmap")
         q = _expect(rm_raw, "q", "integer", "returnmap")
         steps = _expect(rm_raw, "steps", "integer", "returnmap")

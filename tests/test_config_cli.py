@@ -575,6 +575,14 @@ class TestReturnmapCommand:
         assert all(float(r[1]) == 0.0 for r in rows)
         assert all(r[4] == "" for r in rows)
 
+    def test_negative_zero_gap_reads_as_zero(self, write_config, capsys):
+        cfg = self.rm_cfg(theta=-0.0, steps=3, oracle_every=0)
+        assert parse_config(json.dumps(cfg)).returnmap.theta.hex() == "0x0.0p+0"
+        code, out, err = run_cli(capsys, "returnmap", write_config(cfg))
+        assert code == 0
+        assert out.splitlines()[1] == "0,0,5,5,"
+        assert '"theta_initial": 0.0' in err and '"min_theta": 0.0' in err
+
     def test_output_needs_only_write(self, write_config, capsys):
         # sys.stdout may be any object with write(); writelines and the
         # rest of io.TextIOBase are not guaranteed.

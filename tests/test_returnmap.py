@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import pcodelay as pc
-from pcodelay.analysis import large_gap_branch, small_gap_branch
+import pcodelay.cli
+from pcodelay.analysis import _orbit_columns, large_gap_branch, small_gap_branch
 from pcodelay.cli import main
 from pcodelay.rng import SplitMix64
 
@@ -188,24 +189,28 @@ class TestOrbits:
         assert all({s.p, s.q} == {3, 7} for s in orbit)
 
 
-def reference_orbit(curve, theta, p, q, steps):
+def reference_orbit(curve, theta, p, q, steps, eps=EPS):
     """The orbit written out from the two branch formulas with pc.jump.
 
     Returns the states as (theta, p, q) and the branch taken at each step
     ("merged", "small" or "large").
     """
+
+    def f(x, m):
+        return pc.jump(curve, eps, x, m)
+
     states = [(theta, p, q)]
     branches = []
     for _ in range(steps):
         if theta == 0.0:
             branches.append("merged")
         elif theta < TAU:
-            lead = F(curve, F(curve, TAU, q - 1) + theta, p)
-            trail = F(curve, F(curve, TAU - theta, q) + theta, p - 1)
+            lead = f(f(TAU, q - 1) + theta, p)
+            trail = f(f(TAU - theta, q) + theta, p - 1)
             theta = max(0.0, lead - trail)
             branches.append("small")
         else:
-            theta = F(curve, 1.0 - theta + TAU, q) - F(curve, TAU, q - 1)
+            theta = f(1.0 - theta + TAU, q) - f(TAU, q - 1)
             p, q = q, p
             branches.append("large")
         states.append((theta, p, q))
@@ -250,6 +255,57 @@ class TestBitIdentity:
                 assert large_gap_branch(curve, coupling, theta, q) == expected
 
 
+def bits(states):
+    """States as (theta.hex(), p, q): equal only when bit-identical, so -0.0
+    and 0.0 differ."""
+    return [(theta.hex(), p, q) for theta, p, q in states]
+
+
+def first_repeat(states):
+    """(start, period) of the first state from index 1 on that equals an
+    earlier one from index 1 on, found with a dict of every state; (number of
+    states, 0) if none repeats."""
+    seen = {}
+    for k, state in enumerate(states[1:], 1):
+        if state in seen:
+            return seen[state], k - seen[state]
+        seen[state] = k
+    return len(states), 0
+
+
+class TestCycles:
+    """Once the orbit repeats, the map stops iterating and copies the cycle;
+    the copies equal the step-by-step reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "eps,theta,p,q,steps,cycle",
+        [
+            (EPS, 0.3, 3, 7, 300, (13, 2)),  # early cycle
+            (1e-4, 0.6, 3, 7, 3000, (1423, 2)),  # late cycle
+            (1e-7, 0.05, 3, 7, 2000, (2001, 0)),  # no repeat within steps
+            (EPS, 0.0, 4, 6, 50, (1, 1)),  # the merged fixed point
+            (EPS, -0.0, 4, 6, 50, (1, 1)),  # index 0 keeps its sign
+        ],
+    )
+    def test_orbit_equals_reference(self, curve, eps, theta, p, q, steps, cycle):
+        coupling = pc.CouplingParams(n=N, epsilon=eps, tau=TAU)
+        # A -0.0 start is kept as given at index 0; the orbit goes on from
+        # the merged state 0.0.
+        expected, _ = reference_orbit(curve, theta + 0.0, p, q, steps, eps)
+        expected[0] = (theta, p, q)
+        assert first_repeat(expected) == cycle
+
+        thetas, ps, start, period = _orbit_columns(
+            pc.TwoCliqueState(theta, p, q), steps, curve, coupling
+        )
+        assert (start, period) == cycle
+        assert bits([(t, k, N - k) for t, k in zip(thetas, ps)]) == bits(expected)
+
+        orbit = pc.iterate_return_map(pc.TwoCliqueState(theta, p, q), steps, curve, coupling)
+        assert bits([(s.theta, s.p, s.q) for s in orbit]) == bits(expected)
+        assert len({id(s) for s in orbit}) == start + period
+
+
 # SHA-256 of `pcodelay returnmap` stdout (the CSV) and stderr (the summary)
 # for RETURNMAP_CONFIG, computed with the step-by-step map that built one
 # TwoCliqueState and ran every jump's checks afresh per step.
@@ -266,3 +322,40 @@ def test_returnmap_cli_output_digest(write_config, capsys):
     assert json.loads(captured.err)["oracle_max_delta"] is not None
     assert hashlib.sha256(captured.out.encode()).hexdigest() == RETURNMAP_STDOUT_SHA256
     assert hashlib.sha256(captured.err.encode()).hexdigest() == RETURNMAP_STDERR_SHA256
+
+
+def test_returnmap_runs_the_engine_once_per_distinct_state(write_config, capsys, monkeypatch):
+    # The orbit settles on a period-2 cycle, so the 20 oracle steps see at
+    # most two distinct input states.
+    inputs = []
+
+    def counted(state, params):
+        inputs.append(state)
+        return pc.two_clique_oracle_step(state, params)
+
+    monkeypatch.setattr(pcodelay.cli, "two_clique_oracle_step", counted)
+    assert main(["returnmap", write_config(RETURNMAP_CONFIG)]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == RETURNMAP_STDOUT_SHA256
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == RETURNMAP_STDERR_SHA256
+    assert 1 <= len(inputs) <= 2
+    assert len(set(inputs)) == len(inputs)
+
+
+def test_returnmap_cli_non_cycling_orbit_equals_reference(curve, write_config, capsys):
+    steps, every = 2000, 500
+    cfg = base_config(
+        n=N, epsilon=1e-7,
+        returnmap={"theta": 0.05, "p": 3, "q": 7, "steps": steps, "oracle_every": every},
+    )
+    assert main(["returnmap", write_config(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected, _ = reference_orbit(curve, 0.05, 3, 7, steps, 1e-7)
+    assert first_repeat(expected) == (steps + 1, 0)
+    assert lines[0] == "step,theta,p,q,oracle_delta"
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+        f"{k},{theta:.17g},{p},{q}" for k, (theta, p, q) in enumerate(expected)
+    ]
+    deltas = {k: line.rsplit(",", 1)[1] for k, line in enumerate(lines[1:])}
+    assert [k for k, delta in deltas.items() if delta] == list(range(every, steps + 1, every))
+    assert all(float(delta) <= 1e-9 for delta in deltas.values() if delta)
