@@ -8,13 +8,20 @@ Layers, bottom up:
     config    JSON run configurations
     cli       command-line front end (also exposed as `python -m pcodelay`)
 
+`import pcodelay` loads the simulator layers only: config, curves, engine
+(with its kernel) and rng, and binds their public names here. The analysis
+layer loads on first use, the first time one of its names, `analysis` itself,
+`__all__` or `dir(pcodelay)` is asked for; a run that only simulates never
+compiles it. `from pcodelay import *` binds every name of every layer.
+
 The per-event inner loop is one grouped kernel (_kernel.step_once): oscillators
 of equal phase form groups in an affine frame, so an event costs O(groups
 touched), not O(n).
 """
 
-from . import analysis, config, curves, engine, rng
-from .analysis import *
+import importlib
+
+from . import config, curves, engine, rng
 from .config import *
 from .curves import *
 from .engine import *
@@ -22,7 +29,30 @@ from .rng import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *analysis.__all__, *config.__all__, *curves.__all__, *engine.__all__,
-    *rng.__all__, "__version__",
-]
+
+def _load_analysis():
+    """Import the analysis layer and bind its names and the full __all__ here."""
+    # import_module, not `from . import analysis`: the latter looks the name
+    # up on this package first, which calls __getattr__ again.
+    analysis = importlib.import_module(".analysis", __name__)
+    names = globals()
+    names.update((name, getattr(analysis, name)) for name in analysis.__all__)
+    names["__all__"] = [
+        *analysis.__all__, *config.__all__, *curves.__all__, *engine.__all__,
+        *rng.__all__, "__version__",
+    ]
+
+
+def __getattr__(name: str):
+    # Called only for names not bound yet. Any such name may be analysis's,
+    # so analysis loads before the lookup decides.
+    _load_analysis()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__():
+    _load_analysis()
+    return sorted(globals())

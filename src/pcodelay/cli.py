@@ -75,11 +75,15 @@ def _fmt(x: float) -> str:
 
 
 def _json_out(payload: dict, stream: TextIO | None = None) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2), file=stream or sys.stdout)
+    # allow_nan=False: a non-finite value raises ValueError (exit 3) rather
+    # than printing Infinity or NaN, which JSON does not have.
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    print(text, file=stream or sys.stdout)
 
 
 def _finite_or_none(x: float) -> float | None:
-    # JSON has no Infinity; absent-gap sentinels become null.
+    # JSON has no Infinity; absent-gap sentinels and an overflowed n*epsilon
+    # become null.
     return x if math.isfinite(x) else None
 
 
@@ -178,9 +182,9 @@ def cmd_validate(args) -> int:
         "tau": coupling.tau,
         "curve_family": cfg.params.curve.family,
         "curve_i": cfg.params.curve.i,
-        "a2_value": report.a2_value,
+        "a2_value": _finite_or_none(report.a2_value),
         "a2_holds": report.a2_holds,
-        "margin": report.margin,
+        "margin": _finite_or_none(report.margin),
     })
     return EXIT_OK
 
@@ -208,7 +212,7 @@ def cmd_simulate(args) -> int:
             "cluster_count_histogram": {
                 str(k): v for k, v in sorted(summary.cluster_count_histogram.items())
             },
-            "a2_value": report.a2_value,
+            "a2_value": _finite_or_none(report.a2_value),
         })
         return EXIT_OK
 
@@ -225,7 +229,7 @@ def cmd_simulate(args) -> int:
         ).n_clusters,
         "final_spread": phase_spread(net),
         "min_interfire_gap": _finite_or_none(net.min_interfire_gap),
-        "a2_value": report.a2_value,
+        "a2_value": _finite_or_none(report.a2_value),
     })
     return EXIT_OK
 
@@ -279,7 +283,7 @@ def cmd_strobe(args) -> int:
             "cluster_count_stable": stable_cluster_count(counts, window=window),
             "min_frame_spread": min_spread,
             "min_interfire_gap": _finite_or_none(net.min_interfire_gap),
-            "a2_value": report.a2_value,
+            "a2_value": _finite_or_none(report.a2_value),
         },
         stream=summary,
     )

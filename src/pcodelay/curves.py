@@ -20,6 +20,7 @@ in float64, which the threshold logic in the engine relies on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,8 +80,14 @@ class CouplingParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
+        # Any integer type (numpy's too) through operator.index, as sources
+        # are; stored as a plain int so equality and repr do not depend on it.
+        if isinstance(self.n, bool):
             raise ValueError("n must be an integer")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError("n must be an integer") from None
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):

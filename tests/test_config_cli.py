@@ -7,6 +7,7 @@ JSON output; one subprocess test covers the python -m entry point.
 import contextlib
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -679,6 +680,53 @@ class TestRuntimeFailures:
         code, out, err = run_cli(capsys, "simulate", path)
         assert code == 3
         assert "runtime error: injected failure" in err
+        assert out == ""
+
+
+def strict_json(text: str):
+    """json.loads that rejects the Infinity and NaN JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteSummaries:
+    # n * epsilon overflows: the saturation value is inf, its margin -inf.
+    OVERFLOW = dict(n=10, epsilon=1e308)
+
+    def test_validate_prints_null(self, write_config, capsys):
+        path = write_config(base_config(**self.OVERFLOW))
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["a2_value"] is None
+        assert payload["margin"] is None
+        assert payload["a2_holds"] is False
+        assert "warning" in err
+
+    def test_trials_summary_prints_null(self, write_config, capsys):
+        path = write_config(base_config(**self.OVERFLOW, horizon=2.0))
+        code, out, err = run_cli(capsys, "simulate", path, "--trials", "2")
+        assert code == 0
+        assert strict_json(out)["a2_value"] is None
+
+    def test_strobe_summary_prints_null(self, write_config, tmp_path, capsys):
+        path = write_config(
+            base_config(**self.OVERFLOW, horizon=None, strobe={"ref": 0, "frames": 3})
+        )
+        code, out, err = run_cli(capsys, "strobe", path, "--output", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert strict_json(out)["a2_value"] is None
+
+    def test_non_finite_value_exits_3_and_prints_nothing(
+        self, write_config, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(pcodelay.cli, "phase_spread", lambda net: math.nan)
+        path = write_config(base_config(n=10, horizon=2.0))
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 3
+        assert "runtime error" in err
         assert out == ""
 
 

@@ -162,3 +162,18 @@ class TestAssumptions:
             std_curve, pc.CouplingParams(n=1000, epsilon=0.0, tau=0.1)
         )
         assert report.a2_holds
+
+
+class TestCouplingSize:
+    def test_numpy_integer_n_is_stored_as_int(self):
+        coupling = pc.CouplingParams(n=np.int64(100), epsilon=0.001, tau=0.1)
+        plain = pc.CouplingParams(n=100, epsilon=0.001, tau=0.1)
+        assert type(coupling.n) is int
+        assert coupling == plain
+        assert repr(coupling) == repr(plain)
+        assert hash(coupling) == hash(plain)
+
+    @pytest.mark.parametrize("n", [True, np.bool_(True), np.float64(2.0), "2"])
+    def test_non_integer_n_is_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            pc.CouplingParams(n=n, epsilon=0.001, tau=0.1)

@@ -746,3 +746,26 @@ class TestStepReport:
         assert len(frames) == 3
         assert [name for name, _ in reads] == ["fired"] * len(reads)
         assert len({id(rep) for _, rep in reads}) == len(reads)  # none read twice
+
+
+class TestStepContract:
+    def test_run_calls_step_once_per_report(self, headline_params, monkeypatch):
+        # Tools that observe a run (the benchmark's event-stream digest and
+        # work count among them) hook NetworkState.step on the class; run()
+        # must go through it for every event it yields.
+        expected = list(
+            pc.NetworkState(headline_params, pc.sample_phases(7, 100)).run(20.0)
+        )
+        stepped = []
+        step = pc.NetworkState.step
+
+        def hooked(self):
+            report = step(self)
+            stepped.append(report)
+            return report
+
+        monkeypatch.setattr(pc.NetworkState, "step", hooked)
+        reports = list(pc.NetworkState(headline_params, pc.sample_phases(7, 100)).run(20.0))
+        assert len(stepped) == len(reports) == len(expected) > 100
+        assert all(a is b for a, b in zip(stepped, reports))
+        assert reports == expected
