@@ -12,7 +12,9 @@ Layers, bottom up:
 (with its kernel) and rng, and binds their public names here. The analysis
 layer loads on first use, the first time one of its names, `analysis` itself,
 `__all__` or `dir(pcodelay)` is asked for; a run that only simulates never
-compiles it. `from pcodelay import *` binds every name of every layer.
+compiles it. After that load the package is a plain module: its names are
+ordinary bindings that no later lookup rewrites. `from pcodelay import *`
+binds every name of every layer.
 
 The per-event inner loop is one grouped kernel (_kernel.step_once): oscillators
 of equal phase form groups in an affine frame, so an event costs O(groups
@@ -31,16 +33,22 @@ __version__ = "0.1.0"
 
 
 def _load_analysis():
-    """Import the analysis layer and bind its names and the full __all__ here."""
+    """Import the analysis layer, bind its names and the full __all__ here,
+    and remove the hooks below, so this runs once."""
     # import_module, not `from . import analysis`: the latter looks the name
     # up on this package first, which calls __getattr__ again.
     analysis = importlib.import_module(".analysis", __name__)
     names = globals()
-    names.update((name, getattr(analysis, name)) for name in analysis.__all__)
+    for name in analysis.__all__:
+        # setdefault: a name already assigned on the package (a test's patch,
+        # say) keeps that value.
+        names.setdefault(name, getattr(analysis, name))
     names["__all__"] = [
         *analysis.__all__, *config.__all__, *curves.__all__, *engine.__all__,
         *rng.__all__, "__version__",
     ]
+    names.pop("__getattr__", None)
+    names.pop("__dir__", None)
 
 
 def __getattr__(name: str):

@@ -75,6 +75,23 @@ def test_all_and_dir_list_every_name(src_on_pythonpath):
     assert "analysis" in listed
 
 
+def test_assigned_names_survive_later_lookups(src_on_pythonpath):
+    # The load runs once: a name assigned on the package (as a test patch
+    # does), before or after analysis loads, is not rebound by a later miss
+    # or dir().
+    kept = fresh(
+        "import json\n"
+        "import pcodelay\n"
+        "pcodelay.audit_run = 'before'\n"
+        "pcodelay.cluster_partition\n"
+        "pcodelay.cluster_partition = 'after'\n"
+        "getattr(pcodelay, 'missing', None)\n"
+        "dir(pcodelay)\n"
+        "print(json.dumps([pcodelay.audit_run, pcodelay.cluster_partition]))\n"
+    )
+    assert kept == ["before", "after"]
+
+
 def test_names_are_the_layers_own_objects():
     assert pc.analysis is sys.modules["pcodelay.analysis"]
     assert pc.cluster_partition is pc.analysis.cluster_partition
