@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -159,6 +158,8 @@ def cluster_partition(
     """
     if tol_phase is None:
         tol_phase = state.params.tol_phase
+    if not tol_phase >= 0.0:
+        raise ValueError(f"tol_phase must be >= 0, got {tol_phase}")
     phases = state.phases
     counts, due = state._pending_by_source()
 
@@ -228,8 +229,7 @@ def stroboscopic_run(
     Lazy: the state moves as frames are consumed, so a caller can inspect
     the live state (clusters, synchrony) between frames.
     """
-    if not 0 <= ref < state.n:
-        raise ValueError(f"ref must be in [0, {state.n}), got {ref}")
+    ref = _source(ref, state.n, "ref")
     if frames < 0:
         raise ValueError("frames must be >= 0")
     # ref fires within one unit of time: coupling only shortens the wait.
@@ -265,7 +265,7 @@ class AuditReport:
     gap_bound_ok: bool
     max_pending_per_source: int
     pending_ok: bool
-    violations: tuple[str, ...] = field(default=())
+    violations: tuple[str, ...] = ()
     events: int = 0
 
     @property
@@ -644,6 +644,8 @@ def desync_trial(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
     detected = 0
     spreads: list[float] = []
     histogram: Counter[int] = Counter()
@@ -655,10 +657,13 @@ def desync_trial(
             detected += 1
         spreads.append(phase_spread(net))
         histogram[cluster_partition(net, tol_phase=cluster_tol).n_clusters] += 1
+    # The median: the middle spread, or the mean of the two middle ones.
+    spreads.sort()
+    mid = len(spreads) // 2
     return DesyncSummary(
         trials=trials,
         sync_detected_count=detected,
         min_final_spread=min(spreads),
-        median_final_spread=statistics.median(spreads),
+        median_final_spread=(spreads[mid] + spreads[~mid]) / 2,
         cluster_count_histogram=dict(histogram),
     )

@@ -77,14 +77,14 @@ class PendingSpike(NamedTuple):
     source: int
 
 
-def _source(s: object, n: int) -> int:
+def _source(s: object, n: int, name: str = "source") -> int:
     """s as an oscillator index in [0, n); ValueError naming it otherwise."""
     try:
         s = operator.index(s)
     except TypeError:
-        raise ValueError(f"source {s!r} is not an integer") from None
+        raise ValueError(f"{name} {s!r} is not an integer") from None
     if not 0 <= s < n:
-        raise ValueError(f"source {s} out of range")
+        raise ValueError(f"{name} {s} out of range [0, {n})")
     return s
 
 
@@ -183,8 +183,12 @@ class NetworkState:
                 "oscillators that just fired (see inject_pending)"
             )
         self.params = params
+        # An increment of 1 takes any state to threshold, where curves.jump
+        # caps it, so a larger epsilon acts like 1; capping it here keeps a
+        # volley's summed increment finite in the kernel's frame.
+        pulse = min(params.coupling.epsilon, 1.0) / params.curve.i
         self._groups = _kernel.Groups(
-            phases, log_ratio(params.curve), params.coupling.epsilon / params.curve.i,
+            phases, log_ratio(params.curve), pulse,
             params.coupling.tau, params.tol_time, 1.0 - params.tol_phase,
         )
 
@@ -323,23 +327,14 @@ class NetworkState:
     # ------------------------------------------------------------------
     # pipeline editing
 
-    def inject_pending(
-        self,
-        spikes: Iterable[PendingSpike | tuple[float, int]],
-        enforce_phase_offset: bool = False,
-    ) -> None:
+    def inject_pending(self, spikes: Iterable[PendingSpike | tuple[float, int]]) -> None:
         """Load pulses already in flight (start a run mid-history).
 
         Every arrival time must lie in (now, now + tau]: a pulse cannot be
-        older than one full delay.  With enforce_phase_offset=True each
-        source must additionally sit at the phase an actual firing history
-        would imply, tau minus the remaining flight time (within tol_phase);
-        that is the configuration reachable from a real past, assuming the
-        source absorbed nothing since it fired.
+        older than one full delay.
         """
         tau = self.params.coupling.tau
         now = self.now
-        phases = self.phases if enforce_phase_offset else None
         incoming = []
         for item in spikes:
             t, s = PendingSpike(*item)
@@ -351,15 +346,6 @@ class NetworkState:
                 raise ValueError(
                     f"arrival {spike.arrival_time} outside ({now}, {now + tau}]"
                 )
-            if enforce_phase_offset:
-                remaining = spike.arrival_time - now
-                implied = tau - remaining
-                actual = float(phases[spike.source])
-                if abs(actual - implied) > self.params.tol_phase:
-                    raise ValueError(
-                        f"source {spike.source} at phase {actual}, but a pulse "
-                        f"arriving in {remaining} implies phase {implied}"
-                    )
             incoming.append(spike)
         if incoming:
             # One pulse per volley, so that arrivals keep (time, source)

@@ -1,5 +1,6 @@
 """Synchrony verdicts, clustering, strobe sampling, audits, and trial sweeps."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -42,6 +43,23 @@ REJECTED = [
     ("trials=0",
      lambda: pc.desync_trial(_PAIR, lambda t: [0.5, 0.9], horizon=1.0, trials=0),
      "trials"),
+    ("ref=1.5",
+     lambda: next(pc.stroboscopic_run(pc.NetworkState(_PAIR, [0.5, 0.9]), ref=1.5)),
+     "ref"),
+    ("horizon=inf",
+     lambda: pc.desync_trial(_PAIR, lambda t: [0.5, 0.9], horizon=math.inf, trials=1),
+     "horizon"),
+    ("tol_phase=-1",
+     lambda: pc.cluster_partition(pc.NetworkState(_PAIR, [0.5, 0.9]), tol_phase=-1.0),
+     "tol_phase"),
+    ("tol_phase=nan",
+     lambda: pc.cluster_partition(pc.NetworkState(_PAIR, [0.5, 0.9]), tol_phase=math.nan),
+     "tol_phase"),
+    ("cluster_tol=nan",
+     lambda: pc.desync_trial(
+         _PAIR, lambda t: [0.5, 0.9], horizon=1.0, trials=1, cluster_tol=math.nan
+     ),
+     "tol_phase"),
 ]
 
 

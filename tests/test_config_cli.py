@@ -719,6 +719,14 @@ class TestNonFiniteSummaries:
         assert code == 0
         assert strict_json(out)["a2_value"] is None
 
+    def test_simulate_summary_is_finite(self, write_config, capsys):
+        # The whole network fires together, and the volley's summed increment
+        # (n - 1) * epsilon must not turn the phases into NaN.
+        path = write_config(base_config(**self.OVERFLOW, horizon=2.0))
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 0, err
+        assert strict_json(out)["final_spread"] == 0.0
+
     def test_non_finite_value_exits_3_and_prints_nothing(
         self, write_config, capsys, monkeypatch
     ):

@@ -12,6 +12,7 @@ factor of 12 over the latter and stays ten times below tol_time (1e-9).
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +85,23 @@ def test_engine_matches_reference(scenario):
     assert (audit_ref.ok, audit_ref.max_pending_per_source) == (
         audit.ok, audit.max_pending_per_source
     )
+
+
+@pytest.mark.parametrize(
+    "n, epsilon, tau", [(10, 1e308, 0.1), (2, 1.45, 0.05), (5, 3.0, 0.1)]
+)
+def test_epsilon_past_threshold_matches_reference(n, epsilon, tau):
+    # One pulse of epsilon >= 1 takes any receiver to threshold; a volley's
+    # summed increment must not overflow on the way.
+    params = pc.ModelParams(
+        curve=CURVE, coupling=pc.CouplingParams(n=n, epsilon=epsilon, tau=tau),
+    )
+    phases = pc.sample_phases(7, n)
+    net = pc.NetworkState(params, phases)
+    got = [(r.event_time, r.arrival_sources, r.fired) for r in net.run(3.0)]
+    want = list(reference_run(params, phases, 3.0))
+    assert len(got) == len(want) > 0
+    for (t, arrived, fired), (t_ref, arrived_ref, fired_ref) in zip(got, want):
+        assert (arrived, fired) == (arrived_ref, fired_ref)
+        assert math.fabs(t - t_ref) <= EVENT_TIME_BOUND
+    assert all(math.isfinite(p) for p in net.phases)
