@@ -28,13 +28,14 @@ import numpy as np
 from .curves import (
     CouplingParams,
     CurveSpec,
+    _index,
     bind_jump,
     f_eval,
     f_inv,
     jump,
     validate_assumptions,
 )
-from .engine import ModelParams, NetworkState, PendingSpike, StepReport, _source
+from .engine import ModelParams, NetworkState, PendingSpike, StepReport
 
 __all__ = [
     "StructuralError",
@@ -194,8 +195,7 @@ def cluster_partition(
 
 def stable_cluster_count(counts: Sequence[int], window: int = 50) -> int | None:
     """Cluster count if constant over the trailing window, else None."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = _index(window, "window", 1)
     if len(counts) < window:
         return None
     tail = counts[-window:]
@@ -229,9 +229,8 @@ def stroboscopic_run(
     Lazy: the state moves as frames are consumed, so a caller can inspect
     the live state (clusters, synchrony) between frames.
     """
-    ref = _source(ref, state.n, "ref")
-    if frames < 0:
-        raise ValueError("frames must be >= 0")
+    ref = _index(ref, "ref", 0, state.n)
+    frames = _index(frames, "frames")
     # ref fires within one unit of time: coupling only shortens the wait.
     reports = state.run()
     for k in range(1, frames + 1):
@@ -295,7 +294,7 @@ def audit_run(
     min_gap = math.inf
     events = 0
     for item in initial_pipeline:
-        pend[_source(PendingSpike(*item).source, n)] += 1
+        pend[_index(PendingSpike(*item).source, "source", 0, n)] += 1
     max_pend = max(pend) if pend else 0
     violations: list[str] = []
 
@@ -441,9 +440,8 @@ def _orbit_columns(
     with one saved state (index 1, 2, 4, ...).  Index 0 is never compared:
     it may hold -0.0, which equals a later 0.0 but prints differently.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    theta, p, q = initial.theta, initial.p, initial.q
+    steps = _index(steps, "steps")
+    theta, p, q = initial.theta, _index(initial.p, "p", 1), _index(initial.q, "q", 1)
     thetas, ps = [theta], [p]
     if steps == 0:
         return thetas, ps, 1, 0
@@ -540,8 +538,9 @@ def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCli
     """
     coupling = params.coupling
     n = coupling.n
-    if state.p + state.q != n:
-        raise ValueError(f"clique sizes {state.p}+{state.q} != network size {n}")
+    p, q = _index(state.p, "p", 1), _index(state.q, "q", 1)
+    if p + q != n:
+        raise ValueError(f"clique sizes {p}+{q} != network size {n}")
     if not 0.0 < state.theta < 1.0:
         raise ValueError(
             "oracle needs 0 < theta < 1; theta == 0 is the merged fixed point"
@@ -550,9 +549,9 @@ def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCli
         raise InfeasibleScenarioError(
             "saturation check fails; two-clique cycling is not guaranteed"
         )
-    behind = frozenset(range(state.p))
-    ahead = frozenset(range(state.p, n))
-    phases = [1.0 - state.theta] * state.p + [1.0] * state.q
+    behind = frozenset(range(p))
+    ahead = frozenset(range(p, n))
+    phases = [1.0 - state.theta] * p + [1.0] * q
     net = NetworkState(params, phases)
 
     for rep in itertools.islice(net.run(), 4 * n + 64):
@@ -642,10 +641,11 @@ def desync_trial(
     detected.  Spreads and cluster counts are taken where each trial stops:
     at its first synchronized instant, or else at the horizon.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _index(trials, "trials", 1)
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
+    if cluster_tol is not None and not cluster_tol >= 0.0:
+        raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol}")
     detected = 0
     spreads: list[float] = []
     histogram: Counter[int] = Counter()

@@ -119,44 +119,25 @@ def _output(args, cfg: RunConfig) -> Iterator[tuple[TextIO, TextIO]]:
 
 # The strobe SVG: a minimal static scatter of phases against frame index,
 # written as a head, one group of circles per frame and a closing tag, so
-# that no frame is kept once it is drawn.
-_SVG_W, _SVG_H = 860, 520
+# that no frame is kept once it is drawn.  The 860x520 canvas holds a
+# 780x460 plot whose top-left corner is at (60, 20).
 _SVG_LEFT, _SVG_TOP = 60, 20
-_SVG_PLOT_W = _SVG_W - _SVG_LEFT - 20
-_SVG_PLOT_H = _SVG_H - _SVG_TOP - 40
-
-
-def _strobe_svg_head() -> str:
-    """Everything before the first frame: canvas, axes, ticks, labels."""
-    width, height = _SVG_W, _SVG_H
-    left, top = _SVG_LEFT, _SVG_TOP
-    plot_w, plot_h = _SVG_PLOT_W, _SVG_PLOT_H
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-        f'y2="{top + plot_h}" stroke="black"/>',
-    ]
-    for frac, label in ((0.0, "0"), (0.5, "0.5"), (1.0, "1")):
-        y = top + plot_h * (1.0 - frac)
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4}" font-size="12" '
-            f'text-anchor="end">{label}</text>'
-        )
-        parts.append(
-            f'<line x1="{left - 4}" y1="{y}" x2="{left}" y2="{y}" stroke="black"/>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2}" y="{height - 8}" font-size="12" '
-        f'text-anchor="middle">frame</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{top + plot_h / 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {top + plot_h / 2})">phase</text>'
-    )
-    return "".join(part + "\n" for part in parts)
+_SVG_PLOT_W, _SVG_PLOT_H = 780, 460
+# Everything before the first frame: canvas, axes, ticks, labels.
+_STROBE_SVG_HEAD = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="860" height="520" viewBox="0 0 860 520">
+<rect width="860" height="520" fill="white"/>
+<line x1="60" y1="20" x2="60" y2="480" stroke="black"/>
+<line x1="60" y1="480" x2="840" y2="480" stroke="black"/>
+<text x="52" y="484.0" font-size="12" text-anchor="end">0</text>
+<line x1="56" y1="480.0" x2="60" y2="480.0" stroke="black"/>
+<text x="52" y="254.0" font-size="12" text-anchor="end">0.5</text>
+<line x1="56" y1="250.0" x2="60" y2="250.0" stroke="black"/>
+<text x="52" y="24.0" font-size="12" text-anchor="end">1</text>
+<line x1="56" y1="20.0" x2="60" y2="20.0" stroke="black"/>
+<text x="450.0" y="512" font-size="12" text-anchor="middle">frame</text>
+<text x="16" y="250.0" font-size="12" text-anchor="middle" transform="rotate(-90 16 250.0)">phase</text>
+"""
 
 
 def _strobe_svg_frame(k: int, frames: int, phases: Sequence[float]) -> str:
@@ -259,7 +240,7 @@ def cmd_strobe(args) -> int:
         if csv:
             stream.write(",".join(["k", "t_k"] + [f"phi_{j}" for j in range(n)]) + "\n")
         else:
-            stream.write(_strobe_svg_head())
+            stream.write(_STROBE_SVG_HEAD)
         for frame in stroboscopic_run(net, cfg.strobe.ref, frames):
             if csv:
                 # One f-string per row: the same digits as _fmt.

@@ -20,6 +20,7 @@ in float64, which the threshold logic in the engine relies on.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -65,10 +66,11 @@ class CurveSpec:
                 f"unknown curve family {self.family!r}; "
                 f"known: {[_FAMILY]}"
             )
-        if not (isinstance(self.i, (int, float)) and math.isfinite(self.i)):
+        if not (isinstance(self.i, numbers.Real) and math.isfinite(self.i)):
             raise ValueError("curve parameter i must be a finite number")
         if not self.i > 1.0:
             raise ValueError(f"curve parameter i must be > 1, got {self.i}")
+        object.__setattr__(self, "i", float(self.i))
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,9 @@ class CouplingParams:
     tau: float
 
     def __post_init__(self) -> None:
-        # Any integer type (numpy's too) through operator.index, as sources
-        # are; stored as a plain int so equality and repr do not depend on it.
+        # Any integer type (numpy's too) but a bool, stored as a plain int,
+        # and epsilon and tau as floats: equality, repr and the run's
+        # arithmetic do not depend on the caller's types.
         if isinstance(self.n, bool):
             raise ValueError("n must be an integer")
         try:
@@ -94,6 +97,8 @@ class CouplingParams:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "tau", float(self.tau))
 
 
 @dataclass(frozen=True)
@@ -111,22 +116,34 @@ class AssumptionReport:
     margin: float
 
 
-def _check_phase(phi: float) -> float:
-    if not (-_DOMAIN_SLACK <= phi <= 1.0 + _DOMAIN_SLACK):
-        raise ValueError(f"phase {phi!r} outside [0, 1]")
-    # min(max(phi, 0.0), 1.0) without the two calls; the same result,
-    # -0.0 included.
-    if phi < 0.0:
-        return 0.0
-    if phi > 1.0:
-        return 1.0
-    return phi
+def _index(x: object, name: str, low: int = 0, high: int | None = None) -> int:
+    """x as an integer in [low, high); ValueError naming it otherwise.
+
+    Any integer type passes through operator.index (numpy's too, and True
+    as 1); the result is a plain int.
+    """
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} {x!r} is not an integer") from None
+    if high is None:
+        if x < low:
+            raise ValueError(f"{name} must be >= {low}, got {x}")
+    elif not low <= x < high:
+        raise ValueError(f"{name} {x} out of range [{low}, {high})")
+    return x
 
 
-def _check_state(x: float) -> float:
+def _check_phase(x: float, what: str = "phase") -> float:
     if not (-_DOMAIN_SLACK <= x <= 1.0 + _DOMAIN_SLACK):
-        raise ValueError(f"state {x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
+        raise ValueError(f"{what} {x!r} outside [0, 1]")
+    # min(max(x, 0.0), 1.0) without the two calls; the same result,
+    # -0.0 included.
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
+    return x
 
 
 def log_ratio(curve: CurveSpec) -> float:
@@ -141,7 +158,7 @@ def f_eval(curve: CurveSpec, phi: float) -> float:
 
 def f_inv(curve: CurveSpec, x: float) -> float:
     """Invert the state curve: the phase whose state is ``x`` in [0, 1]."""
-    return math.log1p(-_check_state(x) / curve.i) / log_ratio(curve)
+    return math.log1p(-_check_phase(x, "state") / curve.i) / log_ratio(curve)
 
 
 def curve_slope(curve: CurveSpec, phi: float) -> float:
@@ -162,11 +179,9 @@ def jump(curve: CurveSpec, epsilon: float, theta: float, m: int) -> float:
         curve: state curve.
         epsilon: per-pulse state increment, >= 0.
         theta: phase in [0, 1] at the arrival instant.
-        m: number of pulses, >= 0.
+        m: number of pulses, an integer >= 0.
     """
-    if m < 0:
-        raise ValueError(f"pulse count m must be >= 0, got {m}")
-    return bind_jump(curve, epsilon)(theta, m)
+    return bind_jump(curve, epsilon)(theta, _index(m, "pulse count m"))
 
 
 def bind_jump(curve: CurveSpec, epsilon: float) -> Callable[[float, int], float]:

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernel
-from .curves import CouplingParams, CurveSpec, log_ratio
+from .curves import CouplingParams, CurveSpec, _index, log_ratio
 
 __all__ = ["ModelParams", "PendingSpike", "StepReport", "NetworkState"]
 
@@ -68,6 +67,9 @@ class ModelParams:
             )
         if not (0.0 <= self.tol_phase < 1e-3):
             raise ValueError(f"tol_phase must lie in [0, 1e-3), got {self.tol_phase}")
+        # Python floats, as CouplingParams stores epsilon and tau.
+        object.__setattr__(self, "tol_time", float(self.tol_time))
+        object.__setattr__(self, "tol_phase", float(self.tol_phase))
 
 
 class PendingSpike(NamedTuple):
@@ -75,17 +77,6 @@ class PendingSpike(NamedTuple):
 
     arrival_time: float
     source: int
-
-
-def _source(s: object, n: int, name: str = "source") -> int:
-    """s as an oscillator index in [0, n); ValueError naming it otherwise."""
-    try:
-        s = operator.index(s)
-    except TypeError:
-        raise ValueError(f"{name} {s!r} is not an integer") from None
-    if not 0 <= s < n:
-        raise ValueError(f"{name} {s} out of range [0, {n})")
-    return s
 
 
 def _ints(v: tuple[int, ...] | np.ndarray) -> tuple[int, ...]:
@@ -341,7 +332,7 @@ class NetworkState:
             if not isinstance(t, numbers.Real):
                 raise ValueError(f"arrival {t!r} is not a real number")
             # float first: a numpy float32 would compare in float32.
-            spike = PendingSpike(float(t), _source(s, self.n))
+            spike = PendingSpike(float(t), _index(s, "source", 0, self.n))
             if not now < spike.arrival_time <= now + tau:
                 raise ValueError(
                     f"arrival {spike.arrival_time} outside ({now}, {now + tau}]"

@@ -23,6 +23,10 @@ def make_params(n, epsilon, tau, i=1.05, **kw):
     )
 
 
+def _never_sampled(trial):
+    pytest.fail("a trial started before the arguments were checked")
+
+
 # One call per rejection branch of the analysis functions, the error it
 # raises and the start of its message.
 _PAIR = make_params(2, 0.001, 0.1)
@@ -57,9 +61,30 @@ REJECTED = [
      "tol_phase"),
     ("cluster_tol=nan",
      lambda: pc.desync_trial(
-         _PAIR, lambda t: [0.5, 0.9], horizon=1.0, trials=1, cluster_tol=math.nan
+         _PAIR, _never_sampled, horizon=1.0, trials=1, cluster_tol=math.nan
      ),
-     "tol_phase"),
+     "cluster_tol"),
+    ("p=1.5",
+     lambda: pc.iterate_return_map(
+         pc.TwoCliqueState(0.1, 1.5, 8.5), 3, _TEN.curve, _TEN.coupling
+     ),
+     "p 1.5 is not an integer"),
+    ("oracle-p=1.5",
+     lambda: pc.two_clique_oracle_step(pc.TwoCliqueState(0.1, 1.5, 8.5), _TEN),
+     "p 1.5 is not an integer"),
+    ("frames=2.5",
+     lambda: next(pc.stroboscopic_run(pc.NetworkState(_PAIR, [0.5, 0.9]), frames=2.5)),
+     "frames 2.5 is not an integer"),
+    ("trials=2.5",
+     lambda: pc.desync_trial(_PAIR, _never_sampled, horizon=1.0, trials=2.5),
+     "trials 2.5 is not an integer"),
+    ("window=1.5", lambda: stable_cluster_count([2, 2], window=1.5),
+     "window 1.5 is not an integer"),
+    ("steps=2.5",
+     lambda: pc.iterate_return_map(
+         pc.TwoCliqueState(0.1, 5, 5), 2.5, _TEN.curve, _TEN.coupling
+     ),
+     "steps 2.5 is not an integer"),
 ]
 
 

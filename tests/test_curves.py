@@ -92,6 +92,8 @@ class TestJump:
     def test_rejects_bad_arguments(self, std_curve):
         with pytest.raises(ValueError):
             jump(std_curve, 0.001, 0.5, -1)
+        with pytest.raises(ValueError, match="pulse count m 0.5 is not an integer"):
+            jump(std_curve, 0.001, 0.5, 0.5)
         with pytest.raises(ValueError):
             jump(std_curve, -0.001, 0.5, 1)
         with pytest.raises(ValueError):
@@ -177,3 +179,23 @@ class TestCouplingSize:
     def test_non_integer_n_is_rejected(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             pc.CouplingParams(n=n, epsilon=0.001, tau=0.1)
+
+    def test_float32_parameters_are_stored_as_float(self):
+        f32 = np.float32
+        params, plain = (
+            pc.ModelParams(
+                curve=pc.CurveSpec(i=cast(1.05)),
+                coupling=pc.CouplingParams(n=3, epsilon=cast(0.01), tau=cast(0.1)),
+                tol_time=cast(1e-9),
+                tol_phase=cast(1e-12),
+            )
+            for cast in (f32, lambda x: float(f32(x)))
+        )
+        assert repr(params) == repr(plain)
+        assert hash(params) == hash(plain)
+        run, plain_run = (
+            list(pc.NetworkState(p, [0.3, 0.6, 0.9]).run(2.0)) for p in (params, plain)
+        )
+        assert all(type(rep.event_time) is float for rep in run)
+        # repr round-trips floats, so equal reprs are a bit-identical stream.
+        assert repr(run) == repr(plain_run)
