@@ -365,15 +365,26 @@ class TwoCliqueState:
             raise ValueError(f"clique sizes must be >= 1, got ({self.p}, {self.q})")
 
 
+def _clique_sizes(p, q, curve: CurveSpec, coupling: CouplingParams) -> tuple[int, int]:
+    """p and q as clique sizes >= 1 that sum to n, below saturation."""
+    p, q = _index(p, "p", 1), _index(q, "q", 1)
+    if p + q != coupling.n:
+        raise ValueError(f"clique sizes {p}+{q} != network size {coupling.n}")
+    if not validate_assumptions(curve, coupling).a2_holds:
+        raise InfeasibleScenarioError("saturation check fails for the two-clique cycle")
+    return p, q
+
+
 def _branches(curve: CurveSpec, coupling: CouplingParams) -> tuple[
     Callable[[float, int, int, float], float],
     Callable[[float, int, float], float],
+    Callable[[int], float],
 ]:
-    """The two branch formulas with the curve, epsilon and tau bound.
+    """The two branch formulas and their lead, with curve, epsilon and tau bound.
 
-    Both branches take lead = jump(tau, q - 1), the leading clique's phase
-    after its own volley lands.  It depends only on q, so an orbit computes
-    it once per clique size.
+    Both branches take lead(q) = jump(tau, q - 1), the leading clique's
+    phase after its own volley lands.  It depends only on q, so an orbit
+    computes it once per clique size.
     """
     j = bind_jump(curve, coupling.epsilon)
     tau = coupling.tau
@@ -384,11 +395,10 @@ def _branches(curve: CurveSpec, coupling: CouplingParams) -> tuple[
     def large(theta: float, q: int, lead: float) -> float:
         return j(1.0 - theta + tau, q) - lead
 
-    return small, large
+    def lead(q: int) -> float:
+        return jump(curve, coupling.epsilon, tau, q - 1)
 
-
-def _lead(curve: CurveSpec, coupling: CouplingParams, q: int) -> float:
-    return jump(curve, coupling.epsilon, coupling.tau, q - 1)
+    return small, large, lead
 
 
 def small_gap_branch(
@@ -396,13 +406,16 @@ def small_gap_branch(
 ) -> float:
     """New gap after one cycle when the gap is below the delay.
 
-    Valid for 0 <= theta < tau (assuming the saturation check holds): both
-    cliques fire before either volley lands, the volleys land in firing
-    order, and the clique sizes keep their roles.  The gap is
+    Defined for 0 <= theta < tau (ValueError otherwise): both cliques fire
+    before either volley lands, the volleys land in firing order, and the
+    clique sizes keep their roles.  The gap is
     jump(jump(tau, q-1) + theta, p) - jump(jump(tau - theta, q) + theta, p-1).
     """
-    small, _ = _branches(curve, coupling)
-    return small(theta, p, q, _lead(curve, coupling, q))
+    p, q = _clique_sizes(p, q, curve, coupling)
+    if not 0.0 <= theta < coupling.tau:
+        raise ValueError(f"theta {theta} outside [0, tau) = [0, {coupling.tau})")
+    small, _, lead = _branches(curve, coupling)
+    return small(theta, p, q, lead(q))
 
 
 def large_gap_branch(
@@ -410,15 +423,20 @@ def large_gap_branch(
 ) -> float:
     """New gap after one cycle when the gap is at least the delay.
 
-    Valid for tau <= theta < 1: the leading clique's volley lands before the
-    trailing clique fires, so the volley (size q) sets the new gap, which is
-    jump(1 - theta + tau, q) - jump(tau, q - 1), and the cliques swap roles.
+    Defined for tau <= theta < 1 (ValueError otherwise): the leading
+    clique's volley lands before the trailing clique fires, so the volley
+    (size q) sets the new gap, which is jump(1 - theta + tau, q) -
+    jump(tau, q - 1), and the cliques swap roles.
     The outer jump may cap at threshold; the trailing clique then fires the
     instant the volley arrives, which is exactly what the event engine
     produces.
     """
-    _, large = _branches(curve, coupling)
-    return large(theta, q, _lead(curve, coupling, q))
+    q = _index(q, "q", 1, coupling.n)
+    _clique_sizes(coupling.n - q, q, curve, coupling)
+    if not coupling.tau <= theta < 1.0:
+        raise ValueError(f"theta {theta} outside [tau, 1) = [{coupling.tau}, 1)")
+    _, large, lead = _branches(curve, coupling)
+    return large(theta, q, lead(q))
 
 
 def _orbit_columns(
@@ -426,10 +444,10 @@ def _orbit_columns(
 ) -> tuple[list[float], list[int], int, int]:
     """The orbit of the return map as columns: thetas[k] and ps[k].
 
-    The k-th state is TwoCliqueState(thetas[k], ps[k], initial.p + initial.q
-    - ps[k]).  The sizes and the saturation check are validated once, before
-    the first step; each step then runs on plain floats and ints, checking
-    every jump's phase and every new theta as TwoCliqueState would.
+    The k-th state is TwoCliqueState(thetas[k], ps[k], n - ps[k]).
+    _clique_sizes checks the start once, whatever the step count; each step
+    then runs on plain floats and ints, checking every jump's phase and
+    every new theta as TwoCliqueState would.
 
     Also returns (start, period): from index start + period on, state k is
     a copy of state start + (k - start) % period; period is 0, and start is
@@ -441,19 +459,13 @@ def _orbit_columns(
     it may hold -0.0, which equals a later 0.0 but prints differently.
     """
     steps = _index(steps, "steps")
-    theta, p, q = initial.theta, _index(initial.p, "p", 1), _index(initial.q, "q", 1)
-    thetas, ps = [theta], [p]
+    p, q = _clique_sizes(initial.p, initial.q, curve, coupling)
+    theta, thetas, ps = initial.theta, [initial.theta], [p]
     if steps == 0:
         return thetas, ps, 1, 0
-    if p + q != coupling.n:
-        raise ValueError(f"clique sizes {p}+{q} != network size {coupling.n}")
-    if not validate_assumptions(curve, coupling).a2_holds:
-        raise InfeasibleScenarioError(
-            "saturation check fails; the closed-form cycle is not valid"
-        )
-    small, large = _branches(curve, coupling)
+    small, large, lead = _branches(curve, coupling)
     tau = coupling.tau
-    lead_p, lead_q = _lead(curve, coupling, p), _lead(curve, coupling, q)
+    lead_p, lead_q = lead(p), lead(q)
     saved_theta, saved_p, save_at = -1.0, 0, 1
     for k in range(1, steps + 1):
         if theta == 0.0:
@@ -504,8 +516,7 @@ def two_clique_map(
     the clique sizes (the new gap is clamped at 0); gaps at or above it swap
     them.
     """
-    thetas, ps, _, _ = _orbit_columns(state, 1, curve, coupling)
-    return TwoCliqueState(thetas[1], ps[1], coupling.n - ps[1])
+    return iterate_return_map(state, 1, curve, coupling)[1]
 
 
 def iterate_return_map(
@@ -518,9 +529,9 @@ def iterate_return_map(
     repeats, the list repeats the cycle's (frozen) state objects.
     """
     thetas, ps, start, period = _orbit_columns(initial, steps, curve, coupling)
-    size = initial.p + initial.q
+    n = coupling.n
     states = [
-        TwoCliqueState(theta, p, size - p)
+        TwoCliqueState(theta, p, n - p)
         for theta, p in zip(thetas[:start + period], ps)
     ]
     _repeat_cycle(states, start, period, steps + 1)
@@ -538,16 +549,10 @@ def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCli
     """
     coupling = params.coupling
     n = coupling.n
-    p, q = _index(state.p, "p", 1), _index(state.q, "q", 1)
-    if p + q != n:
-        raise ValueError(f"clique sizes {p}+{q} != network size {n}")
+    p, q = _clique_sizes(state.p, state.q, params.curve, coupling)
     if not 0.0 < state.theta < 1.0:
         raise ValueError(
             "oracle needs 0 < theta < 1; theta == 0 is the merged fixed point"
-        )
-    if not validate_assumptions(params.curve, coupling).a2_holds:
-        raise InfeasibleScenarioError(
-            "saturation check fails; two-clique cycling is not guaranteed"
         )
     behind = frozenset(range(p))
     ahead = frozenset(range(p, n))
@@ -642,8 +647,8 @@ def desync_trial(
     at its first synchronized instant, or else at the horizon.
     """
     trials = _index(trials, "trials", 1)
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon}")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     if cluster_tol is not None and not cluster_tol >= 0.0:
         raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol}")
     detected = 0

@@ -31,6 +31,7 @@ def _never_sampled(trial):
 # raises and the start of its message.
 _PAIR = make_params(2, 0.001, 0.1)
 _TEN = make_params(10, 0.001, 0.1)
+_SATURATED = make_params(100, 0.02, 0.3)
 REJECTED = [
     ("window=0", lambda: stable_cluster_count([2, 2], window=0), "window"),
     ("frames=-1",
@@ -85,6 +86,46 @@ REJECTED = [
          pc.TwoCliqueState(0.1, 5, 5), 2.5, _TEN.curve, _TEN.coupling
      ),
      "steps 2.5 is not an integer"),
+    ("small-p=1.5",
+     lambda: pc.small_gap_branch(_TEN.curve, _TEN.coupling, 0.05, 1.5, 8),
+     "p 1.5 is not an integer"),
+    ("small-p=0",
+     lambda: pc.small_gap_branch(_TEN.curve, _TEN.coupling, 0.05, 0, 10),
+     "p must be >= 1"),
+    ("small-sizes",
+     lambda: pc.small_gap_branch(_TEN.curve, _TEN.coupling, 0.05, 4, 5),
+     "clique sizes 4"),
+    ("small-saturated",
+     lambda: pc.small_gap_branch(_SATURATED.curve, _SATURATED.coupling, 0.05, 50, 50),
+     "saturation check fails"),
+    ("small-theta=0.5",
+     lambda: pc.small_gap_branch(_TEN.curve, _TEN.coupling, 0.5, 4, 6),
+     "theta"),
+    ("large-q=n",
+     lambda: pc.large_gap_branch(_TEN.curve, _TEN.coupling, 0.5, 10),
+     "q 10 out of range"),
+    ("large-q=2.5",
+     lambda: pc.large_gap_branch(_TEN.curve, _TEN.coupling, 0.5, 2.5),
+     "q 2.5 is not an integer"),
+    ("large-saturated",
+     lambda: pc.large_gap_branch(_SATURATED.curve, _SATURATED.coupling, 0.5, 50),
+     "saturation check fails"),
+    ("large-theta=0.05",
+     lambda: pc.large_gap_branch(_TEN.curve, _TEN.coupling, 0.05, 6),
+     "theta"),
+    ("steps=0-sizes",
+     lambda: pc.iterate_return_map(
+         pc.TwoCliqueState(0.1, 4, 5), 0, _TEN.curve, _TEN.coupling
+     ),
+     "clique sizes 4"),
+    ("steps=0-saturated",
+     lambda: pc.iterate_return_map(
+         pc.TwoCliqueState(0.05, 50, 50), 0, _SATURATED.curve, _SATURATED.coupling
+     ),
+     "saturation check fails"),
+    ("horizon=-1",
+     lambda: pc.desync_trial(_PAIR, _never_sampled, horizon=-1.0, trials=1),
+     "horizon"),
 ]
 
 

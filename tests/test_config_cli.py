@@ -584,6 +584,17 @@ class TestReturnmapCommand:
         assert out.splitlines()[1] == "0,0,5,5,"
         assert '"theta_initial": 0.0' in err and '"min_theta": 0.0' in err
 
+    def test_merged_start_skips_the_oracle(self, write_config, capsys):
+        # theta == 0 is the merged fixed point, where the engine cycle is
+        # degenerate: the oracle is never asked, so no step has a delta.
+        path = write_config(self.rm_cfg(theta=0.0, oracle_every=2))
+        code, out, err = run_cli(capsys, "returnmap", path)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 11
+        assert all(r[4] == "" for r in rows)
+        assert json.loads(err)["oracle_max_delta"] is None
+
     def test_output_needs_only_write(self, write_config, capsys):
         # sys.stdout may be any object with write(); writelines and the
         # rest of io.TextIOBase are not guaranteed.
