@@ -442,21 +442,23 @@ def large_gap_branch(
 def _orbit_columns(
     initial: TwoCliqueState, steps: int, curve: CurveSpec, coupling: CouplingParams
 ) -> tuple[list[float], list[int], int, int]:
-    """The orbit of the return map as columns: thetas[k] and ps[k].
+    """The distinct states of the return map's orbit as columns: thetas, ps.
 
-    The k-th state is TwoCliqueState(thetas[k], ps[k], n - ps[k]).
+    State k is TwoCliqueState(thetas[k], ps[k], n - ps[k]) for k below
+    start + period, the columns' length; the orbit has steps + 1 states.
     _clique_sizes checks the start once, whatever the step count; each step
     then runs on plain floats and ints, checking every jump's phase and
     every new theta as TwoCliqueState would.
 
-    Also returns (start, period): from index start + period on, state k is
-    a copy of state start + (k - start) % period; period is 0, and start is
-    steps + 1, when no state repeats.  The copies are exact: the next state
-    is a pure function of (theta, p), since q = n - p and the leads depend
-    only on the sizes, so once a (theta, p) recurs bit for bit the orbit
-    repeats.  Brent's algorithm finds the repeat by comparing each state
-    with one saved state (index 1, 2, 4, ...).  Index 0 is never compared:
-    it may hold -0.0, which equals a later 0.0 but prints differently.
+    Also returns (start, period): from start + period on, state k is state
+    start + (k - start) % period, and _steps lists all steps + 1 of them;
+    period is 0, and start is steps + 1, when no state repeats.  The cycle
+    is exact: the next state is a pure function of (theta, p), since
+    q = n - p and the leads depend only on the sizes, so once a (theta, p)
+    recurs bit for bit the orbit repeats.  Brent's algorithm finds the
+    repeat by comparing each state with one saved state (index 1, 2, 4,
+    ...).  Index 0 is never compared: it may hold -0.0, which equals a
+    later 0.0 but prints differently.
     """
     steps = _index(steps, "steps")
     p, q = _clique_sizes(initial.p, initial.q, curve, coupling)
@@ -489,20 +491,15 @@ def _orbit_columns(
     start = 1
     while thetas[start] != thetas[start + period] or ps[start] != ps[start + period]:
         start += 1
-    _repeat_cycle(thetas, start, period, steps + 1)
-    _repeat_cycle(ps, start, period, steps + 1)
-    return thetas, ps, start, period
+    return thetas[:start + period], ps[:start + period], start, period
 
 
-def _repeat_cycle(column: list, start: int, period: int, length: int) -> None:
-    """Cut column to start + period entries, then repeat its last period
-    entries until it holds length entries.  period 0 leaves it unchanged."""
-    if not period:
-        return
-    del column[start + period:]
-    reps, extra = divmod(length - start - period, period)
-    column += column[start:] * reps
-    column += column[start:start + extra]
+def _steps(column: Sequence, start: int, steps: int) -> Iterator:
+    """Entries 0..steps of an _orbit_columns column, its cycle from start
+    on repeated as needed."""
+    return itertools.islice(
+        itertools.chain(column, itertools.cycle(column[start:])), steps + 1
+    )
 
 
 def two_clique_map(
@@ -528,14 +525,10 @@ def iterate_return_map(
     The checks run once per orbit, not once per step.  Once the orbit
     repeats, the list repeats the cycle's (frozen) state objects.
     """
-    thetas, ps, start, period = _orbit_columns(initial, steps, curve, coupling)
+    thetas, ps, start, _ = _orbit_columns(initial, steps, curve, coupling)
     n = coupling.n
-    states = [
-        TwoCliqueState(theta, p, n - p)
-        for theta, p in zip(thetas[:start + period], ps)
-    ]
-    _repeat_cycle(states, start, period, steps + 1)
-    return states
+    states = [TwoCliqueState(theta, p, n - p) for theta, p in zip(thetas, ps)]
+    return list(_steps(states, start, steps))
 
 
 def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCliqueState:

@@ -31,7 +31,7 @@ from .analysis import (
     StructuralError,
     TwoCliqueState,
     _orbit_columns,
-    _repeat_cycle,
+    _steps,
     _synchronized,
     audit_run,
     cluster_partition,
@@ -316,49 +316,52 @@ def cmd_returnmap(args) -> int:
         TwoCliqueState(rm.theta, rm.p, rm.q), rm.steps, cfg.params.curve,
         cfg.params.coupling,
     )
+
+    def column(step: int) -> int:
+        return step if step < start else start + (step - start) % period
+
     # Each distinct state is formatted once (.17g, as _fmt); the rows of a
     # repeating cycle are copies.
-    rows = [f",{theta:.17g},{p},{n - p}," for theta, p in zip(thetas[:start + period], ps)]
-    _repeat_cycle(rows, start, period, len(thetas))
+    rows = [f",{theta:.17g},{p},{n - p}," for theta, p in zip(thetas, ps)]
 
-    deltas: list[str] = [""] * len(thetas)
+    # The engine is deterministic and an oracle step's delta depends only on
+    # the column of its input state, so the engine runs once per column and
+    # deltas holds one cell per column, however long the orbit.  The columns
+    # are distinct states, but column 0 may equal a later one.
+    every = rm.oracle_every or rm.steps + 1  # 0: no oracle step
+    deltas: dict[int, str] = {}
     max_delta = None
-    if rm.oracle_every > 0:
-        # The engine is deterministic, so a repeated input state gives the
-        # same oracle state; each distinct one runs the engine once.
-        oracles: dict[tuple[float, int], TwoCliqueState] = {}
-        for step in range(rm.oracle_every, len(thetas), rm.oracle_every):
-            prev_theta, prev_p = thetas[step - 1], ps[step - 1]
-            if prev_theta <= 0.0:
-                continue  # merged; the engine cycle is degenerate
-            oracle = oracles.get((prev_theta, prev_p))
-            if oracle is None:
-                oracle = oracles[prev_theta, prev_p] = two_clique_oracle_step(
-                    TwoCliqueState(prev_theta, prev_p, n - prev_p), cfg.params
-                )
-            if (oracle.p, oracle.q) != (ps[step], n - ps[step]):
-                raise StructuralError(
-                    f"oracle and map disagree on clique sizes at step {step}"
-                )
-            delta = abs(oracle.theta - thetas[step])
-            deltas[step] = _fmt(delta)
-            max_delta = delta if max_delta is None else max(max_delta, delta)
+    for step in range(every, rm.steps + 1, every):
+        prev, here = column(step - 1), column(step)
+        if prev in deltas or thetas[prev] <= 0.0:
+            continue  # done, or merged: the engine cycle is degenerate
+        oracle = two_clique_oracle_step(
+            TwoCliqueState(thetas[prev], ps[prev], n - ps[prev]), cfg.params
+        )
+        if (oracle.p, oracle.q) != (ps[here], n - ps[here]):
+            raise StructuralError(
+                f"oracle and map disagree on clique sizes at step {step}"
+            )
+        delta = abs(oracle.theta - thetas[here])
+        deltas[prev] = _fmt(delta)
+        max_delta = delta if max_delta is None else max(max_delta, delta)
 
     with _output(args, cfg) as (stream, summary):
         stream.write("step,theta,p,q,oracle_delta\n")
-        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+        orbit_rows = _steps(rows, start, rm.steps)
+        for lo in range(0, rm.steps + 1, _CSV_CHUNK_ROWS):
             hi = lo + _CSV_CHUNK_ROWS
-            stream.write("".join([
-                f"{s}{row}{delta}\n"
-                for s, row, delta in zip(range(lo, hi), rows[lo:hi], deltas[lo:hi])
-            ]))
+            lines = [f"{s}{row}" for s, row in zip(range(lo, hi), orbit_rows)]
+            for step in range(max(every, lo + -lo % every), lo + len(lines), every):
+                lines[step - lo] += deltas.get(column(step - 1), "")
+            stream.write("\n".join(lines) + "\n")
 
     _json_out(
         {
             "steps": rm.steps,
             "theta_initial": rm.theta,
-            "theta_final": thetas[-1],
-            "min_theta": min(thetas[:start + period]),
+            "theta_final": thetas[column(rm.steps)],
+            "min_theta": min(thetas),
             "oracle_max_delta": max_delta,
         },
         stream=summary,

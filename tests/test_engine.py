@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import pcodelay as pc
+from pcodelay import _kernel
 from pcodelay.curves import f_eval, f_inv, jump
 
+from contract import check_groups
 from reference import reference_run
 
 
@@ -580,6 +582,8 @@ class TestGroups:
         for rep in net.run(30.0):
             reports.append(rep)
             assert_groups(net)
+            check_groups(net._groups)
+        check_groups(net._groups)
         audit = pc.audit_run(reports, params)
         assert audit.min_interfire_gap < params.coupling.tau
         assert audit.max_pending_per_source == 2
@@ -599,6 +603,7 @@ class TestGroups:
         reports = []
         for rep in net.run(30.0):
             reports.append(rep)
+            check_groups(net._groups)
             if rep._fired.shape[0]:
                 due, sources, _ = net._groups.pending[-1]
                 assert due == rep.event_time + tau
@@ -680,6 +685,41 @@ class TestGroups:
             assert np.array_equal(net.phases, before)
         assert len(epochs) >= 4
         assert_groups(net)
+
+
+class TestKernelContract:
+    """The kernel contract holds after every way the state changes outside
+    step(): injected pulses, a copy and a drift."""
+
+    def test_inject_copy_and_drift(self):
+        params = make_params(n=30, epsilon=0.02, tau=0.3)
+        net = pc.NetworkState(params, pc.sample_phases(303, 30))
+        check_groups(net._groups)
+        for _ in net.run(2.0):
+            check_groups(net._groups)
+        net.inject_pending([(net.now + 0.05, 3), (net.now + 0.05, 3), (net.now + 0.3, 11)])
+        check_groups(net._groups)
+        dup = net.copy()
+        check_groups(dup._groups)
+        for probe in (net, dup):
+            for _ in range(50):
+                probe.drift_to(0.5 * (probe.now + probe.next_event_time()))
+                check_groups(probe._groups)
+                probe.step()
+                check_groups(probe._groups)
+        assert net.now == dup.now
+        assert list(net.run(net.now + 4.0)) == list(dup.run(dup.now + 4.0))
+        check_groups(net._groups)
+        check_groups(dup._groups)
+
+    def test_event_time_before_now_raises(self, headline_params):
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        list(net.run(1.0))
+        now = net.now
+        with pytest.raises(RuntimeError, match="moved backwards"):
+            _kernel.step_once(net._groups, now - 1.0)
+        assert net.now == now
+        check_groups(net._groups)
 
 
 class TestStepReport:

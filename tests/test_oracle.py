@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import pcodelay as pc
 from pcodelay.curves import f_eval
 
+from contract import check_groups
 from reference import reference_run
 
 EVENT_TIME_BOUND = 1e-10
@@ -58,7 +59,13 @@ def scenarios(draw):
 def engine_run(params, phases, horizon, injected):
     net = pc.NetworkState(params, phases)
     net.inject_pending(injected)
-    return [(r.event_time, r.arrival_sources, r.fired) for r in net.run(horizon)]
+    check_groups(net._groups)
+    events = []
+    for r in net.run(horizon):
+        check_groups(net._groups)
+        events.append((r.event_time, r.arrival_sources, r.fired))
+    check_groups(net._groups)  # drifted to the horizon
+    return events
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)

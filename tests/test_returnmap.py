@@ -9,13 +9,14 @@ fixed point.
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pcodelay as pc
 import pcodelay.cli
-from pcodelay.analysis import _orbit_columns, large_gap_branch, small_gap_branch
+from pcodelay.analysis import _orbit_columns, _steps, large_gap_branch, small_gap_branch
 from pcodelay.cli import main
 from pcodelay.rng import SplitMix64
 
@@ -299,7 +300,10 @@ class TestCycles:
             pc.TwoCliqueState(theta, p, q), steps, curve, coupling
         )
         assert (start, period) == cycle
-        assert bits([(t, k, N - k) for t, k in zip(thetas, ps)]) == bits(expected)
+        assert bits([
+            (t, k, N - k)
+            for t, k in zip(_steps(thetas, start, steps), _steps(ps, start, steps))
+        ]) == bits(expected)
 
         orbit = pc.iterate_return_map(pc.TwoCliqueState(theta, p, q), steps, curve, coupling)
         assert bits([(s.theta, s.p, s.q) for s in orbit]) == bits(expected)
@@ -359,3 +363,29 @@ def test_returnmap_cli_non_cycling_orbit_equals_reference(curve, write_config, c
     deltas = {k: line.rsplit(",", 1)[1] for k, line in enumerate(lines[1:])}
     assert [k for k, delta in deltas.items() if delta] == list(range(every, steps + 1, every))
     assert all(float(delta) <= 1e-9 for delta in deltas.values() if delta)
+
+
+def test_returnmap_memory_does_not_grow_with_steps(write_config, tmp_path):
+    # The orbit locks onto its cycle within a few steps; the CLI keeps that
+    # cycle once and writes the copies one chunk at a time, so the traced
+    # peak is the same at 2e4 and 2e5 steps.
+    out = str(tmp_path / "orbit.csv")
+
+    def config(steps):
+        return write_config(base_config(returnmap={
+            "theta": 0.05, "p": 50, "q": 50, "steps": steps, "oracle_every": 1000,
+        }))
+
+    def peak(steps):
+        path = config(steps)
+        tracemalloc.start()
+        try:
+            assert main(["returnmap", path, "--output", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert main(["returnmap", config(20_000), "--output", out]) == 0  # warm up
+    short, long = peak(20_000), peak(200_000)
+    assert long < 1_000_000
+    assert abs(long - short) < 200_000
