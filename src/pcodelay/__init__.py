@@ -18,7 +18,11 @@ binds every name of every layer.
 
 The per-event inner loop is one grouped kernel (_kernel.step_once): oscillators
 of equal phase form groups in an affine frame, so an event costs O(groups
-touched), not O(n).
+touched), not O(n). step_once decides each event once: it delivers arrivals
+only when a volley is due and fires only at a crossing or when the front
+group, read once after the arrivals, is at threshold. The simulate command
+and desync_trial share one sync-gated run loop (analysis._run_to_sync),
+which runs the full synchrony check only where the O(1) phase spread allows.
 """
 
 import importlib

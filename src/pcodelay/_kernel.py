@@ -38,23 +38,28 @@ Groups also owns the queue, the running minimum gap between two firings of
 one oscillator, the constants epsilon / I, tau, tol_time and 1 - tol_phase,
 and each part of an event: next_event() is the earlier of the front group's
 threshold crossing and the first arrival, drift(t) moves the clock, absorb()
-pops and delivers the volleys due, and fire() resets the groups at threshold,
-queues their volley and keeps min_gap; step_once is the rule alone.  Only
-Groups knows the queue's layout: volleys (arrival_time, sources, link) in
-arrival order, one per firing event, read through pulses() and replaced
-through load().  link is the w the source group had when it was reset, or
-NaN (equal to no w, renormalized to NaN) for loaded pulses; the arriving
-volley takes the fast path when a group with that w still holds exactly its
-sources.  Every new volley is due at event_time + tau, no earlier than any
-pending one, so the queue stays sorted without sorting.
+pops and delivers the volleys due, and fire() resets the front group and
+every group behind it at threshold, queues their volley and keeps min_gap.
+step_once is the rule alone, and decides each event once: it calls absorb()
+only when a volley is due, and fire() at a crossing or when the front
+group's phase, read once after the arrivals, is at threshold.  spread() is
+the largest minus the smallest phase in O(1).  check() asserts the contract
+below in O(n log n + G + P); no event calls it.  Only Groups knows the
+queue's layout: volleys (arrival_time, sources, link) in arrival order, one
+per firing event, read through pulses() and replaced through load().  link
+is the w the source group had when it was reset, or NaN (equal to no w,
+renormalized to NaN) for loaded pulses; the arriving volley takes the fast
+path when a group with that w still holds exactly its sources.  Every new
+volley is due at event_time + tau, no earlier than any pending one, so the
+queue stays sorted without sorting.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
     at the current instant reads exactly 0.0;
   - phase(-1) is the largest phase and phase(0) the smallest, bit-equal to
     the maximum and minimum of phases();
-  - top is phase(-1), bit for bit, after every change: fire() and drift()
-    set it, and renormalize() and load() change no phase;
+  - top is phase(-1), bit for bit, after every change: step_once, fire()
+    and drift() set it, and renormalize() and load() change no phase;
   - pulses() lists the pulses in flight with nondecreasing arrival times;
   - an oscillator never receives its own pulse (m_i = arrivals from others);
   - a receiver pushed to or past threshold fires in the same event;
@@ -174,6 +179,13 @@ class Groups:
         out[np.concatenate(arrays)] = np.repeat(values, [a.shape[0] for a in arrays])
         return _read_only(out)
 
+    def spread(self) -> float:
+        """The largest minus the smallest phase: top minus the back group's
+        phase, bit-equal to top - phase(0)."""
+        if self.last[0] == self.now:
+            return self.top  # the back group reset at this instant: phase 0.0
+        return self.top - self._phase(self.w[0])
+
     def next_event(self) -> float:
         """Time of the next pulse arrival or threshold crossing."""
         t = self.now + (1.0 - self.top)
@@ -185,6 +197,17 @@ class Groups:
         volleys = self.pending
         times = np.repeat([v[0] for v in volleys], [v[1].shape[0] for v in volleys])
         return times, np.concatenate([_NONE, *(v[1] for v in volleys)])
+
+    def check(self) -> None:
+        """Raise AssertionError naming the first contract rule the state breaks.
+
+        The rules live in _contract, imported on the first call: nothing on
+        the event path checks, so a run that never does compiles none of
+        them.
+        """
+        from ._contract import check_groups
+
+        check_groups(self)
 
     # ------------------------------------------------------------------
     # changing the state
@@ -223,46 +246,47 @@ class Groups:
         self.last.insert(j, t)
 
     def _move(self, i: int, w: float) -> None:
-        """Give the group at index i the lower w, keeping the order."""
-        ws = self.w
-        if i == 0 or ws[i - 1] <= w:
-            ws[i] = w
-            return
+        """Give the group at index i a w below its back neighbour's."""
         m, t = self.members[i], self.last[i]
-        del ws[i], self.members[i], self.last[i]
+        del self.w[i], self.members[i], self.last[i]
         self._insert(w, m, t, i)
 
     def absorb(self) -> np.ndarray:
-        """Pop the volleys due by now + tol_time, deliver their pulses (epsilon
-        / I each, to all but their own sources) and return their sources."""
+        """Pop the volleys due by now + tol_time, at least one, deliver their
+        pulses (epsilon / I each, to all but their own sources) and return
+        their sources."""
         pending = self.pending
         limit = self.now + self.tol_time
-        if not pending or pending[0][0] > limit:
-            return _NONE
-        volleys = [pending.popleft()]
-        while pending and pending[0][0] <= limit:
-            volleys.append(pending.popleft())
-        if len(volleys) == 1:
-            arrived = volleys[0][1]
-        else:
+        volley = pending.popleft()
+        if pending and pending[0][0] <= limit:
+            volleys = [volley]
+            while pending and pending[0][0] <= limit:
+                volleys.append(pending.popleft())
             arrived = _read_only(np.concatenate([v[1] for v in volleys]))
+        else:
+            volleys = (volley,)  # one volley, the usual case: no list to build
+            arrived = volley[1]
         if self.pulse == 0.0:
             return arrived
         a = self.a
         d = self.pulse / math.exp(a * (self.now - self.epoch))
-        self.gamma -= arrived.shape[0] * d
+        self.gamma -= len(arrived) * d
         ws, members = self.w, self.members
-        loose = []
+        loose = ()  # the sources no fast path took, rarely any
         for _, src, link in volleys:
             # The fast path: the volley's whole source group, found by w.
             i = bisect_left(ws, link)
             while i < len(ws) and ws[i] == link:
                 if members[i] is src:
-                    self._move(i, math.log(math.exp(a * link) + d) / a)
+                    w = math.log(math.exp(a * link) + d) / a
+                    if i == 0 or ws[i - 1] <= w:
+                        ws[i] = w  # still in order: the usual case
+                    else:
+                        self._move(i, w)
                     break
                 i += 1
             else:
-                loose.append(src)
+                loose += (src,)
         if loose:
             self._split(np.concatenate(loose), d)
         return arrived
@@ -292,31 +316,31 @@ class Groups:
         for w, m, t in parts:
             self._insert(w, m, t, len(ws))
 
-    def fire(self, force: bool) -> np.ndarray:
-        """Reset every front group at or above threshold (and the front one
-        if force), queue their volley, lower min_gap and return the firers.
+    def fire(self) -> np.ndarray:
+        """Reset the front group and every group behind it at or above
+        threshold, queue their volley, lower min_gap and return the firers.
 
-        With nobody at threshold nothing changes and fired is empty; either
-        way top is left at the front group's phase.
+        The caller has found the front group due to fire; top is left at the
+        phase of the front group after the reset.
         """
-        top = 1.0 if force else self.phase(-1)
         ws, members, last = self.w, self.members, self.last
-        arrays = []
-        latest = -math.inf
-        while top >= self.threshold:
-            _, m, t = ws.pop(), members.pop(), last.pop()
-            arrays.append(self._initial(m) if type(m) is int else m)
-            if t > latest:
-                latest = t
-            # Once every group has fired, the reset group is the front.
-            top = self.phase(-1) if ws else 0.0
-        self.top = top
-        if not arrays:
-            return _NONE
-        if len(arrays) == 1:
-            fired = arrays[0]
-        else:
+        ws.pop()
+        m, latest = members.pop(), last.pop()
+        fired = self._initial(m) if type(m) is int else m
+        # Once every group has fired, the reset group is the front.
+        top = self.phase(-1) if ws else 0.0
+        if top >= self.threshold:
+            # More groups at threshold, the rare case: merge their members.
+            arrays = [fired]
+            while top >= self.threshold:
+                ws.pop()
+                m, t = members.pop(), last.pop()
+                arrays.append(self._initial(m) if type(m) is int else m)
+                if t > latest:
+                    latest = t
+                top = self.phase(-1) if ws else 0.0
             fired = _read_only(np.sort(np.concatenate(arrays)))
+        self.top = top
         # u = 1: v = 1 / alpha - gamma, written so that gamma == 0 gives -s.
         s = self.now - self.epoch
         w = math.log1p(-math.exp(self.a * s) * self.gamma) / self.a - s
@@ -339,9 +363,11 @@ def step_once(groups, t_event):
 
     When t_event is the front group's threshold crossing, as next_event()
     predicts it, that group fires even if rounding of the clock left it
-    short of 1 - tol_phase.  Returns (arrived, fired): the sources of every
-    pulse consumed, in queue order, and the oscillators reset.  Both arrays
-    are empty only when t_event is neither a crossing nor an arrival.
+    short of 1 - tol_phase.  Otherwise the front group's phase is read once,
+    after any arrivals, and fire() runs only if it is at threshold.  Returns
+    (arrived, fired): the sources of every pulse consumed, in queue order,
+    and the oscillators reset.  Both arrays are empty only when t_event is
+    neither a crossing nor an arrival.
     """
     if t_event < groups.now:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
@@ -349,5 +375,14 @@ def step_once(groups, t_event):
     if t_event - groups.epoch > groups.s_max:
         groups.renormalize()
     groups.now = t_event
-    arrived = groups.absorb()
-    return arrived, groups.fire(crossing)
+    pending = groups.pending
+    if pending and pending[0][0] <= t_event + groups.tol_time:
+        arrived = groups.absorb()
+    else:
+        arrived = _NONE
+    if not crossing:
+        top = groups.phase(-1)
+        if top < groups.threshold:
+            groups.top = top
+            return arrived, _NONE
+    return arrived, groups.fire()

@@ -612,6 +612,22 @@ def _synchronized(state: NetworkState) -> bool:
     )
 
 
+def _run_to_sync(state: NetworkState, horizon: float) -> bool:
+    """Run state until it is completely synchronized or the horizon passes.
+
+    The verdict is tested now and after every event; it cannot change
+    between events (phases drift rigidly and nothing lands).  Returns True
+    with the state at its first synchronized instant, or False with the
+    state drifted to the horizon.  The same test as _synchronized: the O(1)
+    phase spread gates the full check.
+    """
+    groups, tol = state._groups, state.params.tol_phase
+    for _ in itertools.chain((None,), state.run(horizon)):  # now, then each event
+        if groups.spread() <= tol and is_completely_synchronized(state).synchronized:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class DesyncSummary:
     """Aggregate outcome of repeated randomized runs."""
@@ -632,12 +648,14 @@ def desync_trial(
 ) -> DesyncSummary:
     """Run `trials` independent simulations and test for synchronization.
 
-    init_sampler(trial_index) supplies each trial's initial phases.  The
-    synchrony verdict is evaluated at t=0 and after every event (it cannot
-    appear between events: phases drift rigidly and nothing lands), and a
-    synchronized network stays synchronized, so a trial stops early once
-    detected.  Spreads and cluster counts are taken where each trial stops:
-    at its first synchronized instant, or else at the horizon.
+    init_sampler(trial_index) supplies each trial's initial phases.  Each
+    trial runs through _run_to_sync, the loop the simulate command shares:
+    the synchrony verdict is evaluated at t=0 and after every event (it
+    cannot appear between events: phases drift rigidly and nothing lands),
+    with the full check only where the O(1) phase spread is within
+    tol_phase.  A synchronized network stays synchronized, so a trial stops
+    early once detected.  Spreads and cluster counts are taken where each
+    trial stops: at its first synchronized instant, or else at the horizon.
     """
     trials = _index(trials, "trials", 1)
     if not 0.0 <= horizon < math.inf:
@@ -649,9 +667,7 @@ def desync_trial(
     histogram: Counter[int] = Counter()
     for index in range(trials):
         net = NetworkState(params, init_sampler(index))
-        # any() stops the run at the first synchronized instant; a trial
-        # that never synchronizes ends drifted to the horizon.
-        if _synchronized(net) or any(_synchronized(net) for _ in net.run(horizon)):
+        if _run_to_sync(net, horizon):
             detected += 1
         spreads.append(phase_spread(net))
         histogram[cluster_partition(net, tol_phase=cluster_tol).n_clusters] += 1

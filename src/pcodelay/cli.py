@@ -31,6 +31,7 @@ from .analysis import (
     StructuralError,
     TwoCliqueState,
     _orbit_columns,
+    _run_to_sync,
     _steps,
     _synchronized,
     audit_run,
@@ -198,10 +199,11 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     net = NetworkState(cfg.params, cfg.initial_phases(0))
-    sync_ever = _synchronized(net)
+    sync_ever = _run_to_sync(net, cfg.horizon)
+    # A synchronized network stays synchronized; the run goes on to the
+    # horizon, where the summary is taken.
     for _ in net.run(cfg.horizon):
-        # The verdict cannot change between events, and once true stays true.
-        sync_ever = sync_ever or _synchronized(net)
+        pass
     _json_out({
         "sync_ever": sync_ever,
         "frames_emitted": 0,

@@ -274,7 +274,8 @@ class NetworkState:
         """
         t_event = self.next_event_time()
         arrived, fired = _kernel.step_once(self._groups, t_event)
-        if fired.shape[0] == 0 and arrived.shape[0] == 0:
+        # len(), not .shape[0], which builds a tuple on every event.
+        if not (len(fired) or len(arrived)):
             raise RuntimeError(
                 f"event at t={t_event!r} consumed no pulse and fired nobody; "
                 "it is neither an arrival nor a threshold crossing"
@@ -311,7 +312,8 @@ class NetworkState:
         horizon = float(horizon) if isinstance(horizon, numbers.Real) else horizon
         if not horizon >= self.now:
             raise ValueError(f"horizon {horizon} precedes current time {self.now}")
-        while self.next_event_time() <= horizon:
+        groups = self._groups
+        while groups.next_event() <= horizon:
             yield self.step()
         self.drift_to(horizon)
 

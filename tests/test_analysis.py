@@ -10,6 +10,8 @@ import pcodelay as pc
 from pcodelay.analysis import (
     InfeasibleScenarioError,
     StructuralError,
+    _run_to_sync,
+    _synchronized,
     stable_cluster_count,
 )
 from pcodelay.engine import PendingSpike, StepReport
@@ -517,6 +519,71 @@ class TestDesyncTrial:
         assert summary.median_final_spread >= summary.min_final_spread
         assert sum(summary.cluster_count_histogram.values()) == 5
         assert all(k >= 2 for k in summary.cluster_count_histogram)
+
+
+def _sync_loop(net, horizon):
+    """The per-event loop _run_to_sync replaced: the verdict at the start and
+    after every event, stopping at the first synchronized instant."""
+    if _synchronized(net):
+        return True
+    for _ in net.run(horizon):
+        if _synchronized(net):
+            return True
+    return False
+
+
+def _sync_cases():
+    # (start, horizon, verdict, refusals): refusals is the least number of
+    # instants where the spread gate passes and the full check refuses.
+    # 20/20 sampled starts synchronize at n = 100, epsilon = 0.02.
+    synchronizing = make_params(100, 0.02, 0.1)
+    for k in range(5):
+        yield pytest.param(
+            lambda k=k: pc.NetworkState(synchronizing, pc.sample_phases(100 + k, 100)),
+            5.0, True, 0, id=f"synchronizing-{k}",
+        )
+    headline = make_params(100, 0.001, 0.1)
+    yield pytest.param(
+        lambda: pc.NetworkState(headline, pc.sample_phases(7, 100)), 100.0, False, 0,
+        id="headline",
+    )
+    # Equal phases at t = tau with a pulse still in flight.
+    pair = make_params(2, 0.001, 0.1)
+    yield pytest.param(
+        lambda: pc.matched_phase_pair(pair)[0], 5.0, False, 1, id="matched-pair",
+    )
+
+
+class TestRunToSync:
+    @pytest.mark.parametrize("start, horizon, verdict, refusals", _sync_cases())
+    def test_matches_the_per_event_loop(self, start, horizon, verdict, refusals, monkeypatch):
+        checks = []
+        full = pc.analysis.is_completely_synchronized
+
+        def counted(state):
+            result = full(state)
+            checks.append(result.synchronized)
+            return result
+
+        monkeypatch.setattr(pc.analysis, "is_completely_synchronized", counted)
+        want = start()
+        assert _sync_loop(want, horizon) is verdict
+        want_checks = checks[:]
+        checks.clear()
+        got = start()
+        assert _run_to_sync(got, horizon) is verdict
+        assert got.now.hex() == want.now.hex()
+        assert np.array_equal(got.phases, want.phases)
+        assert got.pipeline == want.pipeline
+        # The spread gate passes at the same instants, and the full check
+        # gives the same verdicts there.
+        assert checks == want_checks
+        assert checks.count(True) == verdict and checks.count(False) >= refusals
+
+    def test_spread_is_phase_spread_bit_for_bit(self, headline_params):
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        for _ in net.run(20.0):
+            assert net._groups.spread().hex() == pc.phase_spread(net).hex()
 
 
 class TestMatchedPhasePair:

@@ -316,6 +316,33 @@ class TestSimulateCommand:
         assert payload["sync_detected_count"] == 2
         assert payload["cluster_count_histogram"] == {"1": 2}
 
+    def test_sync_gated_runs_step_once_per_event(self, write_config, capsys, monkeypatch):
+        # The benchmark counts events through a hook on NetworkState.step, so
+        # the sync-gated loop behind simulate and desync_trial must step
+        # through it as often as a plain run(horizon) yields reports.
+        path = write_config(base_config())
+        run = load_config(path)
+        events = [
+            sum(1 for _ in pc.NetworkState(run.params, run.initial_phases(k)).run(run.horizon))
+            for k in range(2)
+        ]
+        stepped = []
+        step = pc.NetworkState.step
+
+        def hooked(self):
+            stepped.append(self)
+            return step(self)
+
+        monkeypatch.setattr(pc.NetworkState, "step", hooked)
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 0 and json.loads(out)["sync_ever"] is False
+        assert len(stepped) == events[0] > 1000
+
+        stepped.clear()
+        summary = pc.desync_trial(run.params, run.initial_phases, run.horizon, trials=2)
+        assert summary.sync_detected_count == 0
+        assert len(stepped) == sum(events)
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_trials_flag_below_one_exits_1(self, write_config, capsys, value):
         path = write_config(base_config(n=10, seed=3, horizon=10.0))

@@ -10,7 +10,6 @@ import pcodelay as pc
 from pcodelay import _kernel
 from pcodelay.curves import f_eval, f_inv, jump
 
-from contract import check_groups
 from reference import reference_run
 
 
@@ -582,8 +581,8 @@ class TestGroups:
         for rep in net.run(30.0):
             reports.append(rep)
             assert_groups(net)
-            check_groups(net._groups)
-        check_groups(net._groups)
+            net._groups.check()
+        net._groups.check()
         audit = pc.audit_run(reports, params)
         assert audit.min_interfire_gap < params.coupling.tau
         assert audit.max_pending_per_source == 2
@@ -603,7 +602,7 @@ class TestGroups:
         reports = []
         for rep in net.run(30.0):
             reports.append(rep)
-            check_groups(net._groups)
+            net._groups.check()
             if rep._fired.shape[0]:
                 due, sources, _ = net._groups.pending[-1]
                 assert due == rep.event_time + tau
@@ -611,6 +610,21 @@ class TestGroups:
         assert any(r._fired.shape[0] for r in reports)
         gap = pc.audit_run(reports, params).min_interfire_gap
         assert net.min_interfire_gap == gap and math.isfinite(gap)
+
+    def test_arrivals_fire_groups_without_a_crossing(self):
+        # The saturated event-stream config: arrivals push groups to
+        # threshold before their crossing, so step_once reads the front
+        # phase after the arrival and fires it there.
+        params = make_params(n=30, epsilon=0.02, tau=0.1)
+        net = pc.NetworkState(params, pc.sample_phases(7, 30))
+        groups = net._groups
+        pushed = 0
+        while net.next_event_time() <= 50.0:
+            crossing = net.next_event_time() >= groups.now + (1.0 - groups.top)
+            rep = net.step()
+            groups.check()
+            pushed += not crossing and len(rep._fired) > 0
+        assert pushed == 518  # of 539 events, as tests/test_event_stream.py counts
 
     def test_inject_from_part_of_a_group(self):
         params = make_params(n=4)
@@ -694,23 +708,23 @@ class TestKernelContract:
     def test_inject_copy_and_drift(self):
         params = make_params(n=30, epsilon=0.02, tau=0.3)
         net = pc.NetworkState(params, pc.sample_phases(303, 30))
-        check_groups(net._groups)
+        net._groups.check()
         for _ in net.run(2.0):
-            check_groups(net._groups)
+            net._groups.check()
         net.inject_pending([(net.now + 0.05, 3), (net.now + 0.05, 3), (net.now + 0.3, 11)])
-        check_groups(net._groups)
+        net._groups.check()
         dup = net.copy()
-        check_groups(dup._groups)
+        dup._groups.check()
         for probe in (net, dup):
             for _ in range(50):
                 probe.drift_to(0.5 * (probe.now + probe.next_event_time()))
-                check_groups(probe._groups)
+                probe._groups.check()
                 probe.step()
-                check_groups(probe._groups)
+                probe._groups.check()
         assert net.now == dup.now
         assert list(net.run(net.now + 4.0)) == list(dup.run(dup.now + 4.0))
-        check_groups(net._groups)
-        check_groups(dup._groups)
+        net._groups.check()
+        dup._groups.check()
 
     def test_event_time_before_now_raises(self, headline_params):
         net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
@@ -719,7 +733,7 @@ class TestKernelContract:
         with pytest.raises(RuntimeError, match="moved backwards"):
             _kernel.step_once(net._groups, now - 1.0)
         assert net.now == now
-        check_groups(net._groups)
+        net._groups.check()
 
 
 class TestStepReport:

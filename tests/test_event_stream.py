@@ -25,7 +25,6 @@ import pytest
 import pcodelay as pc
 from pcodelay.analysis import audit_run
 
-from contract import check_groups
 
 # (n, epsilon, seed, horizon) -> (events, events with >= 100 firers, digest)
 STREAMS = {
@@ -88,7 +87,7 @@ def test_event_stream_digest(key, drive):
     for rep in drive(net, horizon):
         reports.append(rep)
         if drive is step_loop and count % stride == 0:
-            check_groups(net._groups)
+            net._groups.check()
         assert type(rep.fired) is tuple and type(rep.arrival_sources) is tuple
         assert all(type(i) is int for i in rep.fired + rep.arrival_sources)
         h.update(struct.pack("<dq", rep.event_time, len(rep.fired)))
@@ -98,7 +97,7 @@ def test_event_stream_digest(key, drive):
             sets.update(np.asarray(ids, dtype=np.int64).tobytes())
         count += 1
         volleys += len(rep.fired) >= 100
-    check_groups(net._groups)  # run() ends drifted to the horizon
+    net._groups.check()  # run() ends drifted to the horizon
     assert (count, volleys) == (events, big)
     assert sets.hexdigest() == SET_DIGESTS[key]
     assert h.hexdigest() == digest

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import pcodelay as pc
 from pcodelay.curves import f_eval
 
-from contract import check_groups
 from reference import reference_run
 
 EVENT_TIME_BOUND = 1e-10
@@ -59,12 +58,12 @@ def scenarios(draw):
 def engine_run(params, phases, horizon, injected):
     net = pc.NetworkState(params, phases)
     net.inject_pending(injected)
-    check_groups(net._groups)
+    net._groups.check()
     events = []
     for r in net.run(horizon):
-        check_groups(net._groups)
+        net._groups.check()
         events.append((r.event_time, r.arrival_sources, r.fired))
-    check_groups(net._groups)  # drifted to the horizon
+    net._groups.check()  # drifted to the horizon
     return events
 
 
