@@ -84,11 +84,26 @@ class SyncVerdict:
 
 
 def phase_spread(state: NetworkState) -> float:
-    """Largest minus smallest phase: the front group's minus the back group's.
+    """Largest minus smallest phase: the kernel's O(1) Groups.spread(),
+    bit-equal to phases.max() - phases.min()."""
+    return state._groups.spread()
 
-    O(1) whatever n is, and bit-equal to phases.max() - phases.min().
+
+def _in_flight(state: NetworkState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pulses in flight by source: (sources, counts, due).
+
+    sources lists the oscillators with pulses in flight, ascending, and
+    counts[k] the number from sources[k]; due[k, :counts[k]] holds their
+    arrival times in ascending order, the rest of the row 0.0.
     """
-    return state.top - state.bottom
+    times, srcs = state._groups.pulses()
+    # Queue order is arrival order: a stable sort by source keeps times ascending.
+    order = np.argsort(srcs, kind="stable")
+    sources, first, counts = np.unique(srcs[order], return_index=True, return_counts=True)
+    row = np.repeat(np.arange(sources.shape[0]), counts)
+    due = np.zeros((sources.shape[0], counts.max(initial=0)))
+    due[row, np.arange(times.shape[0]) - first[row]] = times[order]
+    return sources, counts, due
 
 
 def is_completely_synchronized(state: NetworkState) -> SyncVerdict:
@@ -96,17 +111,18 @@ def is_completely_synchronized(state: NetworkState) -> SyncVerdict:
 
     Synchronized means every phase agrees within tol_phase AND every
     oscillator sources the same multiset of pending arrival times within
-    tol_time: equal pulse counts, and a spread of at most tol_time in each
-    column of the per-source arrival times.  The second condition is
-    equivalent to every oscillator *receiving* the same pending multiset,
-    since each pulse reaches everyone but its own source; it is what makes
-    equal-phase states with asymmetric traffic (see matched_phase_pair)
-    correctly test as unsynchronized.
+    tol_time: equal pulse counts, so pulses from all oscillators or none,
+    and a spread of at most tol_time in each column of the sources' arrival
+    times.  The second condition is equivalent to every oscillator
+    *receiving* the same pending multiset, since each pulse reaches everyone
+    but its own source; it is what makes equal-phase states with asymmetric
+    traffic (see matched_phase_pair) correctly test as unsynchronized.
     """
     spread = phase_spread(state)
-    counts, due = state._pending_by_source()
-    mismatch = bool(
-        counts.min() != counts.max()
+    sources, counts, due = _in_flight(state)
+    mismatch = sources.shape[0] > 0 and bool(
+        sources.shape[0] < state.n
+        or counts.min() != counts.max()
         or (due.max(axis=0) - due.min(axis=0) > state.params.tol_time).any()
     )
     return SyncVerdict(
@@ -153,22 +169,24 @@ def cluster_partition(
     is the tight engine tolerance; pass tol_phase=1e-6 for the loose
     grouping used when eyeballing plots.
 
-    One lexsort orders the oscillators by phase run, pulse count and
-    arrival times; a cluster ends wherever the run or the count changes or
-    some arrival time moves by more than tol_time.
+    The groups, back to front, list the oscillators in nondecreasing phase;
+    adjacent ones within tol_phase chain into runs, and an oscillator with
+    nothing in flight keeps its run as its cluster.  One lexsort orders the
+    sources by run, pulse count and arrival times; a cluster of sources ends
+    where the run or count changes or an arrival time moves by over tol_time.
     """
     if tol_phase is None:
         tol_phase = state.params.tol_phase
     if not tol_phase >= 0.0:
         raise ValueError(f"tol_phase must be >= 0, got {tol_phase}")
     phases = state.phases
-    counts, due = state._pending_by_source()
-
-    by_phase = np.argsort(phases, kind="stable")
-    run = np.empty(state.n, dtype=np.int64)
-    run[by_phase] = np.concatenate(
+    by_phase = np.concatenate(state._groups._arrays())
+    label = np.empty(state.n, dtype=np.int64)
+    label[by_phase] = np.concatenate(
         ([0], np.cumsum(np.diff(phases[by_phase]) > tol_phase))
     )
+    sources, counts, due = _in_flight(state)
+    run = label[sources]
     # lexsort's last key is the primary one.
     order = np.lexsort((*due.T[::-1], counts, run))
     due = due[order]
@@ -177,12 +195,12 @@ def cluster_partition(
         | (np.diff(counts[order]) != 0)
         | (np.abs(np.diff(due, axis=0)) > state.params.tol_time).any(axis=1)
     )
-    label = np.empty(state.n, dtype=np.int64)
-    label[order] = np.concatenate(([0], np.cumsum(split)))
+    # From n on, no source label equals a run label.
+    label[sources[order]] = state.n + np.concatenate(([0], np.cumsum(split)))
 
     # Order the clusters by their smallest member, members ascending.
-    _, first = np.unique(label, return_index=True)
-    lead = first[label]
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    lead = first[inverse]
     members = np.argsort(lead, kind="stable")
     cuts = (np.flatnonzero(np.diff(lead[members])) + 1).tolist()
     members = members.tolist()

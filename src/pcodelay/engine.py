@@ -224,24 +224,6 @@ class NetworkState:
         """
         return self._groups.min_gap
 
-    def _pending_by_source(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pending pulses per source, for the analysis layer: (counts, due).
-
-        counts[i] is the number of pulses pending from source i, and
-        due[i, :counts[i]] holds their arrival times in ascending order;
-        the rest of each row is 0.0.
-        """
-        times, srcs = self._groups.pulses()
-        # Queue order is arrival order: a stable sort by source keeps times ascending.
-        order = np.argsort(srcs, kind="stable")
-        srcs = srcs[order]
-        counts = np.bincount(srcs, minlength=self.n)
-        # Each pulse's column: its rank among the pulses from its source.
-        column = np.arange(srcs.shape[0]) - (np.cumsum(counts) - counts)[srcs]
-        due = np.zeros((self.n, int(counts.max())))
-        due[srcs, column] = times[order]
-        return counts, due
-
     def __repr__(self) -> str:
         return (
             f"NetworkState(n={self.n}, now={self.now!r}, "

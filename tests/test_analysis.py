@@ -276,12 +276,92 @@ class TestClusterPartition:
             net = pc.NetworkState(params, pc.sample_phases(300 + seed, 30))
             for _ in range(200):
                 net.step()
-                part = pc.cluster_partition(net, tol_phase=tol_phase)
-                expected = list_partition(net, tol_phase)
-                assert (part.clusters, part.representative_phases) == expected
+                assert_match_list_references(net, tol_phase)
                 pending = Counter(s for _, s in net.pipeline)
                 most_pending = max(most_pending, max(pending.values(), default=0))
         assert most_pending >= 2
+
+    @pytest.mark.parametrize("tol_phase", [None, 1e-6])
+    def test_matches_list_reference_on_the_headline_run(self, headline_params, tol_phase):
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        assert_match_list_references(net, tol_phase)
+        for _ in range(300):
+            net.step()
+            assert_match_list_references(net, tol_phase)
+
+    def test_matches_list_reference_on_the_matched_pair(self, pair_params):
+        # At every event and half way to the next, which covers the window
+        # of equal phases with a pulse in flight towards one oscillator.
+        net, _ = pc.matched_phase_pair(pair_params)
+        for _ in range(40):
+            assert_match_list_references(net, 1e-3)
+            net.drift_to(0.5 * (net.now + net.next_event_time()))
+            assert_match_list_references(net, None)
+            assert_match_list_references(net, 1e-3)
+            net.step()
+
+    @pytest.mark.parametrize(
+        "pulses, mismatch",
+        [
+            pytest.param([(0.05, 0), (0.05, 2)], True, id="some-sources"),
+            pytest.param([(0.05, s) for s in range(4)], False, id="all-sources"),
+            pytest.param(
+                [(0.05 + 5e-10 * (s % 2), s) for s in range(4)], False, id="offset-5e-10"
+            ),
+            pytest.param(
+                [(0.05 + 2e-9 * (s % 2), s) for s in range(4)], True, id="offset-2e-9"
+            ),
+            pytest.param(
+                [(0.05, s) for s in range(4)] + [(0.05, 1)], True, id="duplicate"
+            ),
+            pytest.param(
+                [(t, s) for s in range(4) for t in (0.05, 0.07)], False, id="two-each"
+            ),
+        ],
+    )
+    def test_injected_pulses_match_list_references(self, pulses, mismatch):
+        net = pc.NetworkState(make_params(4, 0.001, 0.2), [0.5] * 4)
+        net.inject_pending(pulses)
+        assert list_mismatch(net) is mismatch
+        assert_match_list_references(net, None)
+
+
+def assert_match_list_references(state, tol_phase):
+    """cluster_partition and is_completely_synchronized equal their list
+    references on this state."""
+    part = pc.cluster_partition(state, tol_phase=tol_phase)
+    assert (part.clusters, part.representative_phases) == list_partition(state, tol_phase)
+    verdict = pc.is_completely_synchronized(state)
+    phases = state.phases.tolist()
+    mismatch = list_mismatch(state)
+    assert verdict.phase_spread == max(phases) - min(phases)
+    assert verdict.pipeline_mismatch is mismatch
+    assert verdict.synchronized is (
+        max(phases) - min(phases) <= state.params.tol_phase and not mismatch
+    )
+
+
+def _signatures(state):
+    """Each oscillator's own pending arrival times, ascending."""
+    signatures = [[] for _ in range(state.n)]
+    for t, s in state.pipeline:
+        signatures[s].append(t)
+    for sig in signatures:
+        sig.sort()
+    return signatures
+
+
+def list_mismatch(state):
+    """is_completely_synchronized's pipeline_mismatch with per-source lists:
+    the reference.  True if the oscillators source unequal numbers of
+    pulses, or if the k-th arrival times of some k spread by more than
+    tol_time."""
+    signatures = _signatures(state)
+    if len(set(map(len, signatures))) > 1:
+        return True
+    return any(
+        max(column) - min(column) > state.params.tol_time for column in zip(*signatures)
+    )
 
 
 def list_partition(state, tol_phase=None):
@@ -296,11 +376,7 @@ def list_partition(state, tol_phase=None):
         tol_phase = state.params.tol_phase
     tol_time = state.params.tol_time
     phases = state.phases.tolist()
-    signatures = [[] for _ in phases]
-    for t, s in state.pipeline:
-        signatures[s].append(t)
-    for sig in signatures:
-        sig.sort()
+    signatures = _signatures(state)
     order = sorted(range(len(phases)), key=phases.__getitem__)
     runs = [[order[0]]]
     for prev, cur in zip(order, order[1:]):
@@ -519,6 +595,32 @@ class TestDesyncTrial:
         assert summary.median_final_spread >= summary.min_final_spread
         assert sum(summary.cluster_count_histogram.values()) == 5
         assert all(k >= 2 for k in summary.cluster_count_histogram)
+
+
+class TestGuaranteesPastSaturation:
+    """The guarantees fail in order past a2 = 1: the gap bound still holds
+    on every seed at a2 = 1.08, and at a2 = 2.48 every trial synchronizes.
+    n = 100, tau = 0.1, I = 1.05, five seeds, horizon 200."""
+
+    @staticmethod
+    def start(k):
+        return pc.sample_phases(100 + k, 100)
+
+    def test_audits_pass_just_past_saturation(self):
+        params = make_params(100, 0.006, 0.1)
+        a2 = pc.validate_assumptions(params.curve, params.coupling).a2_value
+        assert 1.07 < a2 < 1.09
+        for k in range(5):
+            net = pc.NetworkState(params, self.start(k))
+            audit = pc.audit_run(net.run(200.0), params)
+            assert audit.ok, audit.violations[:3]
+            assert audit.events > 1000
+            assert audit.min_interfire_gap > 0.25
+
+    def test_every_trial_synchronizes_far_past_saturation(self):
+        params = make_params(100, 0.02, 0.1)
+        summary = pc.desync_trial(params, self.start, horizon=200.0, trials=5)
+        assert summary.sync_detected_count == 5
 
 
 def _sync_loop(net, horizon):

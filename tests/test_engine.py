@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import pcodelay as pc
 from pcodelay import _kernel
+from pcodelay.analysis import _in_flight
 from pcodelay.curves import f_eval, f_inv, jump
 
 from reference import reference_run
@@ -357,18 +359,23 @@ class TestPipeline:
 
     def test_pulses_stay_in_arrival_order(self):
         # Saturated: groups fire again within tau, so sources have two
-        # pulses in flight and the per-source view must order them by time.
+        # pulses in flight and the analysis layer's per-source view must
+        # order them by time.
         params = make_params(n=30, epsilon=0.02, tau=0.3)
         net = pc.NetworkState(params, pc.sample_phases(303, 30))
         most = 0
         for _ in net.run(30.0):
             times, sources = net._groups.pulses()
             assert np.all(np.diff(times) >= 0.0)
-            counts, due = net._pending_by_source()
-            assert counts.tolist() == np.bincount(sources, minlength=30).tolist()
-            for i in range(30):
-                assert due[i, :counts[i]].tolist() == sorted(times[sources == i].tolist())
-            most = max(most, int(counts.max()))
+            per_source = np.bincount(sources, minlength=30)
+            rows, counts, due = _in_flight(net)
+            assert rows.tolist() == np.flatnonzero(per_source).tolist()
+            assert counts.tolist() == per_source[rows].tolist()
+            assert due.shape == (rows.shape[0], per_source.max())
+            for k, i in enumerate(rows.tolist()):
+                assert due[k, :counts[k]].tolist() == sorted(times[sources == i].tolist())
+                assert not due[k, counts[k]:].any()
+            most = max(most, int(per_source.max()))
         assert most == 2
 
     def test_pipeline_and_repr_agree_with_pulses(self):
@@ -701,6 +708,29 @@ class TestGroups:
         assert_groups(net)
 
 
+def _swap_w(g):
+    assert g.w[0] < g.w[-1]
+    g.w[0], g.w[-1] = g.w[-1], g.w[0]
+
+
+def _lower_top(g):
+    g.top -= 1e-3
+
+
+def _volley_overdue(g):
+    _, sources, link = g.pending[0]
+    g.pending[0] = (g.now - 2.0 * g.tol_time, sources, link)
+
+
+def _writable_members(g):
+    i = next(i for i, m in enumerate(g.members) if type(m) is not int)
+    g.members[i] = g.members[i].copy()
+
+
+def _fired_later(g):
+    g.last[0] = g.now + 1.0
+
+
 class TestKernelContract:
     """The kernel contract holds after every way the state changes outside
     step(): injected pulses, a copy and a drift."""
@@ -725,6 +755,28 @@ class TestKernelContract:
         assert list(net.run(net.now + 4.0)) == list(dup.run(dup.now + 4.0))
         net._groups.check()
         dup._groups.check()
+
+    @pytest.mark.parametrize(
+        "corrupt, rule",
+        [
+            pytest.param(_swap_w, "w decreases from back to front", id="w-order"),
+            pytest.param(_lower_top, "is not phase(-1)", id="top"),
+            pytest.param(_volley_overdue, "a volley is due outside", id="volley-time"),
+            pytest.param(
+                _writable_members, "member arrays are not all read-only", id="members"
+            ),
+            pytest.param(_fired_later, "a group last fired after now", id="last"),
+        ],
+    )
+    def test_check_names_the_broken_rule(self, headline_params, corrupt, rule):
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        for _ in range(300):
+            net.step()
+        broken = net.copy()._groups
+        corrupt(broken)
+        with pytest.raises(AssertionError, match=re.escape(rule)):
+            broken.check()
+        net._groups.check()
 
     def test_event_time_before_now_raises(self, headline_params):
         net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
