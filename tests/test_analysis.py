@@ -333,12 +333,11 @@ def assert_match_list_references(state, tol_phase):
     assert (part.clusters, part.representative_phases) == list_partition(state, tol_phase)
     verdict = pc.is_completely_synchronized(state)
     phases = state.phases.tolist()
+    spread = max(phases) - min(phases)
     mismatch = list_mismatch(state)
-    assert verdict.phase_spread == max(phases) - min(phases)
+    assert verdict.phase_spread == spread
     assert verdict.pipeline_mismatch is mismatch
-    assert verdict.synchronized is (
-        max(phases) - min(phases) <= state.params.tol_phase and not mismatch
-    )
+    assert verdict.synchronized is (spread <= state.params.tol_phase and not mismatch)
 
 
 def _signatures(state):
