@@ -265,6 +265,9 @@ def stroboscopic_run(
 # audits
 
 
+_VIOLATIONS_KEPT = 20  # the messages an audit keeps, as many as `audit` prints
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Structural guarantees checked over a run's reports.
@@ -275,6 +278,8 @@ class AuditReport:
     pending_ok: no oscillator ever had more than one pulse in flight, and
         none fired while its own pulse was still pending (including the
         boundary case of firing in the very event its pulse arrived).
+    violations: the first _VIOLATIONS_KEPT messages, in event and then firer
+        order, one per broken guarantee; empty exactly when nothing broke.
     events: the number of reports checked.
     """
 
@@ -302,8 +307,8 @@ def audit_run(
     pulses; its sources are checked as inject_pending checks them
     (ValueError unless an integer in [0, n)).  reports is consumed once, in
     order, so a generator that steps the network streams the audit in O(n)
-    memory.  Interfiring gaps are taken from each firer's previous firing
-    time in the reports.
+    memory, as only the kept violations are formatted.  Interfiring gaps are
+    taken from each firer's previous firing time in the reports.
     """
     tau = params.coupling.tau
     n = params.coupling.n
@@ -316,6 +321,10 @@ def audit_run(
     max_pend = max(pend) if pend else 0
     violations: list[str] = []
 
+    def violate(template: str, *args) -> None:
+        if len(violations) < _VIOLATIONS_KEPT:
+            violations.append(template.format(*args))
+
     for rep in reports:
         events += 1
         t = rep.event_time
@@ -323,21 +332,15 @@ def audit_run(
         for s in sources:
             pend[s] -= 1
             if pend[s] < 0:
-                violations.append(
-                    f"pulse from {s} consumed at t={t} was never scheduled"
-                )
+                violate("pulse from {} consumed at t={} was never scheduled", s, t)
                 pend[s] = 0
         arrived = set(sources)
         for i in rep.fired:
             if pend[i] > 0:
-                violations.append(
-                    f"oscillator {i} fired at t={t} with its own pulse pending"
-                )
+                violate("oscillator {} fired at t={} with its own pulse pending", i, t)
             if i in arrived:
-                violations.append(
-                    f"oscillator {i} fired at t={t} in the same event "
-                    "its own pulse arrived"
-                )
+                violate("oscillator {} fired at t={} in the same event its own "
+                        "pulse arrived", i, t)
             # the firer's own pulse, due at event_time + tau
             pend[i] += 1
             if pend[i] > max_pend:
@@ -552,11 +555,11 @@ def iterate_return_map(
 def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCliqueState:
     """One two-clique cycle computed by the full event engine.
 
-    Builds the network (oscillators [0, p) trailing, [p, n) at threshold),
-    steps until exactly one complete clique fires with nothing in flight but
-    that event's own pulses, and reads the new gap off the other clique's
-    phases.  Raises StructuralError if a firing ever splits a clique or no
-    such return happens within the event budget.
+    Builds the network (oscillators [0, p) trailing, [p, n) at threshold)
+    and steps to a return: a firing of one whole clique after which the
+    kernel's queue holds only that event's volley.  The new gap is read off
+    the other clique's phases.  Raises StructuralError if a firing ever
+    splits a clique or no such return happens within the event budget.
     """
     coupling = params.coupling
     n = coupling.n
@@ -565,29 +568,26 @@ def two_clique_oracle_step(state: TwoCliqueState, params: ModelParams) -> TwoCli
         raise ValueError(
             "oracle needs 0 < theta < 1; theta == 0 is the merged fixed point"
         )
-    behind = frozenset(range(p))
-    ahead = frozenset(range(p, n))
-    phases = [1.0 - state.theta] * p + [1.0] * q
-    net = NetworkState(params, phases)
+    net = NetworkState(params, [1.0 - state.theta] * p + [1.0] * q)
 
     for rep in itertools.islice(net.run(), 4 * n + 64):
-        if not rep.fired:
+        fired = rep.fired  # ascending, so a clique iff its ends and size match
+        if not fired:
             continue
-        fired = frozenset(rep.fired)
-        if fired != ahead and fired != behind:
+        lo, hi = (p, n) if fired[0] == p else (0, p)
+        if (fired[0], fired[-1], len(fired)) != (lo, hi - 1, hi - lo):
             raise StructuralError(
-                f"firing at t={rep.event_time} split the cliques: {sorted(fired)}"
+                f"firing at t={rep.event_time} split the cliques: {list(fired)}"
             )
         if net.now <= 0.0:
             continue  # the opening volley, not a return
-        if sorted(s for _, s in net.pipeline) != list(rep.fired):
-            continue  # older pulses still in flight
-        others = sorted(behind if fired == ahead else ahead)
-        other_phases = net.phases[others]
-        if float(other_phases.max() - other_phases.min()) > 1e-9:
+        if len(net._groups.pending) != 1:
+            continue  # older volleys still in flight
+        waiting = net.phases[:p] if lo == p else net.phases[p:]
+        if float(waiting.max() - waiting.min()) > 1e-9:
             raise StructuralError("waiting clique lost internal alignment")
-        new_theta = 1.0 - float(other_phases.max())
-        return TwoCliqueState(theta=new_theta, p=len(others), q=len(fired))
+        new_theta = 1.0 - float(waiting.max())
+        return TwoCliqueState(theta=new_theta, p=n - len(fired), q=len(fired))
     raise StructuralError("no two-clique return within the event budget")
 
 

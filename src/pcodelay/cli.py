@@ -47,7 +47,6 @@ from .analysis import (
 from .config import ConfigError, RunConfig, load_config
 from .curves import AssumptionReport, validate_assumptions
 from .engine import NetworkState, StepReport
-from .rng import sample_phases
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -299,7 +298,7 @@ def cmd_audit(args) -> int:
         "max_pending_per_source": audit.max_pending_per_source,
         "pending_ok": audit.pending_ok,
         "ok": audit.ok,
-        "violations": list(audit.violations[:20]),
+        "violations": list(audit.violations),
     })
     return EXIT_OK if audit.ok else EXIT_AUDIT
 
@@ -380,15 +379,14 @@ def cmd_counterexample(args) -> int:
         pass  # through the first volley's arrival
     net.drift_to(tau + phi / 2.0)
     mid = is_completely_synchronized(net)
-    mid_spread = phase_spread(net)
     for _ in net.run(tau + 2.0 * phi):
         pass  # past the trailing pulse's arrival
     after_spread = phase_spread(net)
     _json_out({
         "phi": phi,
         "window": [tau, tau + phi],
-        "spread_mid_window": mid_spread,
-        "equal_mid_window": mid_spread <= params.tol_phase,
+        "spread_mid_window": mid.phase_spread,
+        "equal_mid_window": mid.phase_spread <= params.tol_phase,
         "pipeline_mismatch_mid_window": mid.pipeline_mismatch,
         "synchronized_mid_window": mid.synchronized,
         "spread_after_window": after_spread,

@@ -1,6 +1,8 @@
 """Synchrony verdicts, clustering, strobe sampling, audits, and trial sweeps."""
 
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -531,6 +533,26 @@ class TestAuditRun:
             f"oscillator 3 fired at t={t2} with its own pulse pending",
         )
 
+    def test_keeps_the_first_violations_in_bounded_memory(self):
+        # Past the saturation check, n = 1000 breaks the one-pulse rule
+        # hundreds of times per event: 65,545 messages by t = 5.
+        params = make_params(1000, 0.001, 0.1)
+        start = pc.sample_phases(7, 1000)
+        first = list(itertools.islice(
+            every_violation(pc.NetworkState(params, start).run(5.0)), 21
+        ))
+        tracemalloc.start()
+        try:
+            audit = pc.audit_run(pc.NetworkState(params, start).run(5.0), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 21
+        assert audit.violations == tuple(first[:20])
+        assert not audit.pending_ok and audit.events == 928
+        # Keeping every message peaked at 10.2 MB.
+        assert peak < 4_000_000
+
     def test_detects_arrival_never_scheduled(self, headline_params):
         reports = (
             StepReport(
@@ -569,6 +591,26 @@ class TestAuditRun:
             pc.audit_run((), params, initial_pipeline=[(0.05, source)])
         audit = pc.audit_run((), params, initial_pipeline=[(0.05, np.int64(2))])
         assert audit.max_pending_per_source == 1
+
+
+def every_violation(reports):
+    """Every violation message of a run, in event and then firer order: the
+    audit's checks with nothing capped."""
+    pend = Counter()
+    for rep in reports:
+        t, arrived = rep.event_time, set(rep.arrival_sources)
+        for s in rep.arrival_sources:
+            pend[s] -= 1
+            if pend[s] < 0:
+                yield f"pulse from {s} consumed at t={t} was never scheduled"
+                pend[s] = 0
+        for i in rep.fired:
+            if pend[i] > 0:
+                yield f"oscillator {i} fired at t={t} with its own pulse pending"
+            if i in arrived:
+                yield (f"oscillator {i} fired at t={t} in the same event "
+                       "its own pulse arrived")
+            pend[i] += 1
 
 
 class TestDesyncTrial:

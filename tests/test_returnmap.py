@@ -16,7 +16,13 @@ import pytest
 
 import pcodelay as pc
 import pcodelay.cli
-from pcodelay.analysis import _orbit_columns, _steps, large_gap_branch, small_gap_branch
+from pcodelay.analysis import (
+    _branches,
+    _orbit_columns,
+    _steps,
+    large_gap_branch,
+    small_gap_branch,
+)
 from pcodelay.cli import main
 from pcodelay.rng import SplitMix64
 
@@ -173,6 +179,24 @@ class TestBranchPositivity:
         state = pc.TwoCliqueState(theta=0.0, p=4, q=6)
         assert pc.two_clique_map(state, curve, coupling).theta == 0.0
 
+    @pytest.mark.parametrize(
+        "n,eps,worst", [(10, 0.04, 1.7901), (100, 0.001, 1.1258), (100, 0.005, 2.2770)]
+    )
+    def test_small_branch_never_shrinks_a_gap(self, curve, n, eps, worst):
+        # No complete synchronization on the reduced model: a gap below the
+        # delay grows, at every clique split.  The smallest ratio found on
+        # this grid lies at p = 1 and the largest theta; that p = 1 is the
+        # worst case is grid-tested here, not proven.
+        small, _, lead = _branches(curve, pc.CouplingParams(n=n, epsilon=eps, tau=TAU))
+        thetas = np.linspace(0.0, TAU, 202)[1:-1].tolist()
+        ratios = {
+            (p, theta): small(theta, p, n - p, lead(n - p)) / theta
+            for p in range(1, n) for theta in thetas
+        }
+        assert min(ratios.values()) > 1.0
+        assert min(ratios, key=ratios.get) == (1, thetas[-1])
+        assert ratios[1, thetas[-1]] == pytest.approx(worst, abs=1e-4)
+
 
 class TestOrbits:
     def test_long_orbit_stays_bounded_and_positive(self, curve, coupling):
@@ -188,6 +212,63 @@ class TestOrbits:
             pc.TwoCliqueState(theta=0.7, p=3, q=7), 50, curve, coupling
         )
         assert all({s.p, s.q} == {3, 7} for s in orbit)
+
+
+def engine_returns(params, seed, count):
+    """(theta, p, q) at the first count returns of a sampled network past
+    t = 200, read as the oracle reads them: at a firing after which only
+    that event's volley is queued, theta is 1 - the waiting clique's phase."""
+    n = params.coupling.n
+    net = pc.NetworkState(params, pc.sample_phases(seed, n))
+    for _ in net.run(200.0):
+        pass
+    returns = []
+    for rep in net.run(210.0):
+        if rep.fired and len(net._groups.pending) == 1:
+            waiting = np.delete(net.phases, rep.fired)
+            assert waiting.min() == waiting.max()  # one whole clique
+            returns.append((1.0 - float(waiting[0]), waiting.shape[0], len(rep.fired)))
+            if len(returns) == count:
+                break
+    return returns
+
+
+class TestEngineLocksOntoTheMapCycle:
+    """Delay-induced clustering is the map's period-2 cycle: past its
+    transient the engine alternates between two cliques whose gap sits
+    where the large-gap branch caps at threshold (absorption).  The map is
+    locally constant there, so it reaches the cycle in finitely many steps,
+    and the engine sits on it to within rounding."""
+
+    @pytest.mark.parametrize("n,seed,first", [
+        (100, 7, (0.12285, 83, 17)),
+        (100, 4, (0.14154, 15, 85)),
+        (1000, 2, (0.12034, 916, 84)),
+        (1000, 3, (0.14242, 118, 882)),
+    ])
+    def test_engine_returns_are_the_map_cycle(self, curve, n, seed, first):
+        coupling = pc.CouplingParams(n=n, epsilon=0.1 / n, tau=TAU)
+        returns = engine_returns(pc.ModelParams(curve=curve, coupling=coupling), seed, 4)
+        assert len(returns) == 4
+        theta, p, q = returns[0]
+        assert (round(theta, 5), p, q) == first
+        for (a, p_a, q_a), (b, p_b, q_b) in zip(returns, returns[1:]):
+            assert (p_b, q_b) == (q_a, p_a)
+            assert abs(a - b) > 0.5
+        for a, b in zip(returns, returns[2:]):
+            assert a[0] == pytest.approx(b[0], abs=1e-13)
+
+        orbit = pc.iterate_return_map(pc.TwoCliqueState(theta, p, q), 3, curve, coupling)
+        assert orbit[3] == orbit[1] != orbit[2]  # period 2
+        for state, (theta_k, p_k, q_k) in zip(orbit[1:3], returns[1:3]):
+            assert (state.p, state.q) == (p_k, q_k)
+            assert state.theta == pytest.approx(theta_k, abs=1e-13)
+
+        def twice(x):
+            return pc.iterate_return_map(pc.TwoCliqueState(x, p, q), 2, curve, coupling)[2].theta
+
+        h = 1e-7
+        assert (twice(theta + h) - twice(theta - h)) / (2 * h) == 0.0
 
 
 def reference_orbit(curve, theta, p, q, steps, eps=EPS):
