@@ -22,7 +22,9 @@ touched), not O(n). step_once decides each event once: it delivers arrivals
 only when a volley is due and fires only at a crossing or when the front
 group, read once after the arrivals, is at threshold. The simulate command
 and desync_trial share one sync-gated run loop (analysis._run_to_sync),
-which runs the full synchrony check only where the O(1) phase spread allows.
+which runs the full synchrony check only where the O(1) phase spread allows,
+and reads the spread only where the gap between the front and back groups'
+frame coordinates w allows.
 """
 
 import importlib

@@ -80,3 +80,12 @@ def check_groups(g) -> None:
             all(isinstance(link, float) for link in links), "a volley link is not a float"
         )
     _require(g.gamma <= 0.0, f"gamma {g.gamma!r} is positive")
+
+    t = g.now + (1.0 - g.top)
+    if g.pending and g.pending[0][0] < t:
+        t = g.pending[0][0]
+    _require(
+        g.t_next.hex() == t.hex(),
+        f"t_next {g.t_next!r} is not the earlier of now + (1 - top) and the "
+        f"first volley's time, {t!r}",
+    )

@@ -36,7 +36,7 @@ independent of n.
 
 Groups also owns the queue, the running minimum gap between two firings of
 one oscillator, the constants epsilon / I, tau, tol_time and 1 - tol_phase,
-and each part of an event: next_event() is the earlier of the front group's
+and each part of an event: t_next is the earlier of the front group's
 threshold crossing and the first arrival, drift(t) moves the clock, absorb()
 pops and delivers the volleys due, and fire() resets the front group and
 every group behind it at threshold, queues their volley and keeps min_gap.
@@ -60,6 +60,9 @@ Contract:
     the maximum and minimum of phases();
   - top is phase(-1), bit for bit, after every change: step_once, fire()
     and drift() set it, and renormalize() and load() change no phase;
+  - t_next is the earlier of now + (1 - top) and the first volley's time,
+    bit for bit, after every change: step_once, drift() and load() set it,
+    and renormalize() moves no time;
   - pulses() lists the pulses in flight with nondecreasing arrival times;
   - an oscillator never receives its own pulse (m_i = arrivals from others);
   - a receiver pushed to or past threshold fires in the same event;
@@ -99,7 +102,7 @@ class Groups:
     __slots__ = (
         "n", "a", "s_max", "now", "epoch", "gamma", "w", "members", "last",
         "_order", "_bounds", "pending", "pulse", "tau", "tol_time", "threshold",
-        "min_gap", "top",
+        "min_gap", "top", "t_next",
     )
 
     def __init__(
@@ -130,6 +133,7 @@ class Groups:
         self.tol_time, self.threshold = tol_time, threshold
         self.min_gap = math.inf
         self.top = self.phase(-1)
+        self._set_t_next()
 
     def copy(self) -> "Groups":
         dup = object.__new__(Groups)
@@ -186,12 +190,6 @@ class Groups:
             return self.top  # the back group reset at this instant: phase 0.0
         return self.top - self._phase(self.w[0])
 
-    def next_event(self) -> float:
-        """Time of the next pulse arrival or threshold crossing."""
-        t = self.now + (1.0 - self.top)
-        pending = self.pending
-        return pending[0][0] if pending and pending[0][0] < t else t
-
     def pulses(self) -> tuple[np.ndarray, np.ndarray]:
         """The pulses in flight as (arrival times, sources), in queue order."""
         volleys = self.pending
@@ -212,10 +210,18 @@ class Groups:
     # ------------------------------------------------------------------
     # changing the state
 
+    def _set_t_next(self) -> None:
+        """Set t_next, the time of the next pulse arrival or threshold
+        crossing: the earlier of now + (1 - top) and the first volley's."""
+        t = self.now + (1.0 - self.top)
+        pending = self.pending
+        self.t_next = pending[0][0] if pending and pending[0][0] < t else t
+
     def drift(self, t: float) -> None:
         """Move the clock to t, which no event precedes."""
         self.now = t
         self.top = self.phase(-1)
+        self._set_t_next()
 
     def renormalize(self) -> None:
         """Start a new frame at now: every w becomes its group's phase.
@@ -237,6 +243,7 @@ class Groups:
             (float(t), _read_only(np.array([s], dtype=np.int64)), math.nan)
             for t, s in pulses
         )
+        self._set_t_next()
 
     def _insert(self, w: float, m, t: float, hi: int) -> None:
         """Insert a group among the first hi, after those with equal w."""
@@ -323,12 +330,13 @@ class Groups:
         The caller has found the front group due to fire; top is left at the
         phase of the front group after the reset.
         """
-        ws, members, last = self.w, self.members, self.last
+        ws, members, last, now = self.w, self.members, self.last, self.now
         ws.pop()
         m, latest = members.pop(), last.pop()
         fired = self._initial(m) if type(m) is int else m
-        # Once every group has fired, the reset group is the front.
-        top = self.phase(-1) if ws else 0.0
+        # phase(-1), read with one call.  Once every group has fired, the
+        # reset group is the front.
+        top = 0.0 if not ws or last[-1] == now else self._phase(ws[-1])
         if top >= self.threshold:
             # More groups at threshold, the rare case: merge their members.
             arrays = [fired]
@@ -338,21 +346,21 @@ class Groups:
                 arrays.append(self._initial(m) if type(m) is int else m)
                 if t > latest:
                     latest = t
-                top = self.phase(-1) if ws else 0.0
+                top = 0.0 if not ws or last[-1] == now else self._phase(ws[-1])
             fired = _read_only(np.sort(np.concatenate(arrays)))
         self.top = top
         # u = 1: v = 1 / alpha - gamma, written so that gamma == 0 gives -s.
-        s = self.now - self.epoch
+        s = now - self.epoch
         w = math.log1p(-math.exp(self.a * s) * self.gamma) / self.a - s
         if ws and w > ws[0]:
             w = ws[0]  # rounding must not put the reset group ahead
         ws.appendleft(w)
         members.appendleft(fired)
-        last.appendleft(self.now)
-        self.pending.append((self.now + self.tau, fired, w))
+        last.appendleft(now)
+        self.pending.append((now + self.tau, fired, w))
         # min over firers of now - last equals now - max(last): the rounded
         # subtraction is monotone in last.
-        gap = self.now - latest
+        gap = now - latest
         if gap < self.min_gap:
             self.min_gap = gap
         return fired
@@ -361,13 +369,14 @@ class Groups:
 def step_once(groups, t_event):
     """Advance to t_event and process the event there.
 
-    When t_event is the front group's threshold crossing, as next_event()
+    When t_event is the front group's threshold crossing, as t_next
     predicts it, that group fires even if rounding of the clock left it
     short of 1 - tol_phase.  Otherwise the front group's phase is read once,
-    after any arrivals, and fire() runs only if it is at threshold.  Returns
-    (arrived, fired): the sources of every pulse consumed, in queue order,
-    and the oscillators reset.  Both arrays are empty only when t_event is
-    neither a crossing nor an arrival.
+    after any arrivals, and fire() runs only if it is at threshold.  Either
+    way t_next is set for the next event.  Returns (arrived, fired): the
+    sources of every pulse consumed, in queue order, and the oscillators
+    reset.  Both arrays are empty only when t_event is neither a crossing
+    nor an arrival.
     """
     if t_event < groups.now:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
@@ -381,8 +390,12 @@ def step_once(groups, t_event):
     else:
         arrived = _NONE
     if not crossing:
-        top = groups.phase(-1)
+        # phase(-1), read with one call.
+        top = 0.0 if groups.last[-1] == t_event else groups._phase(groups.w[-1])
         if top < groups.threshold:
             groups.top = top
+            groups._set_t_next()
             return arrived, _NONE
-    return arrived, groups.fire()
+    fired = groups.fire()
+    groups._set_t_next()
+    return arrived, fired

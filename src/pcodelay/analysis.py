@@ -638,10 +638,23 @@ def _run_to_sync(state: NetworkState, horizon: float) -> bool:
     with the state at its first synchronized instant, or False with the
     state drifted to the horizon.  The same test as _synchronized: the O(1)
     phase spread gates the full check.
+
+    The spread is gated in turn by the w-gap of the kernel's frame, which
+    costs no exp or log: with gamma <= 0 a group's phase s + log(exp(a * w)
+    + gamma) / a rises at least as fast as its w, so a w-gap above tol_phase
+    + 1e-9 means a spread above tol_phase.  The margin covers _phase's
+    rounding, which grows with |gamma|: at alpha = 1e-3 it read at most
+    1.5e-13 up to epsilon = 0.01 at n = 1000, and 1.6e-11 at epsilon = 1.
     """
     groups, tol = state._groups, state.params.tol_phase
+    gap = tol + 1e-9
     for _ in itertools.chain((None,), state.run(horizon)):  # now, then each event
-        if groups.spread() <= tol and is_completely_synchronized(state).synchronized:
+        w = groups.w  # renormalize() replaces the deque
+        if (
+            w[-1] - w[0] <= gap
+            and groups.spread() <= tol
+            and is_completely_synchronized(state).synchronized
+        ):
             return True
     return False
 

@@ -1,5 +1,6 @@
 """Synchrony verdicts, clustering, strobe sampling, audits, and trial sweeps."""
 
+import decimal
 import itertools
 import math
 import tracemalloc
@@ -16,7 +17,9 @@ from pcodelay.analysis import (
     _synchronized,
     stable_cluster_count,
 )
+from pcodelay import _kernel
 from pcodelay.engine import PendingSpike, StepReport
+from pcodelay.rng import SplitMix64
 
 
 def make_params(n, epsilon, tau, i=1.05, **kw):
@@ -727,6 +730,153 @@ class TestRunToSync:
         net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
         for _ in net.run(20.0):
             assert net._groups.spread().hex() == pc.phase_spread(net).hex()
+
+
+# _run_to_sync's gate before Groups.spread(): w[-1] - w[0] <= tol_phase + this.
+_W_MARGIN = 1e-9
+
+
+def _w_gap(net):
+    w = net._groups.w
+    return w[-1] - w[0]
+
+
+def _exact_phase(g, w):
+    """_phase's formula for a group with this w, without its clamp, in
+    60-digit decimal arithmetic from the same float state."""
+    d = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        s = d(g.now) - d(g.epoch)
+        if g.gamma == 0.0:
+            return s + d(w)
+        return s + ((d(g.a) * d(w)).exp() + d(g.gamma)).ln() / d(g.a)
+
+
+def _ungated(net, horizon):
+    """_run_to_sync without the w-gap gate: the spread-gated verdict now and
+    after every event.  Returns the verdict and the set of times at which
+    the w-gap gate passes."""
+    gate = net.params.tol_phase + _W_MARGIN
+    passes = set()
+    for _ in itertools.chain((None,), net.run(horizon)):
+        if _w_gap(net) <= gate:
+            passes.add(net.now)
+        if _synchronized(net):
+            return True, passes
+    return False, passes
+
+
+def _gate_starts():
+    """The runs of acceptance tests C2 (random starts), C4 (cluster
+    starts) and C8 (two-clique oracle starts) on the headline config, and
+    five starts that synchronize."""
+    synchronizing = make_params(100, 0.02, 0.1)
+    for k in range(5):
+        yield synchronizing, pc.sample_phases(100 + k, 100), 5.0
+    params = make_params(100, 0.001, 0.1)
+    for k in range(50):
+        yield params, pc.sample_phases(5000 + k, 100), 100.0
+    for k in range(10):
+        yield params, pc.sample_phases(1000 + k, 100), 500.0
+    rng = SplitMix64(4242)
+    for _ in range(100):
+        p = int(1 + rng.next_uint64() % 99)
+        theta = rng.uniform_open_closed(0.0, 0.95)
+        yield params, [1.0 - theta] * p + [1.0] * (100 - p), 20.0
+
+
+class TestWGapGate:
+    """_run_to_sync reads Groups.spread() only where the w-gap is within
+    tol_phase + 1e-9.  With gamma <= 0 a phase rises at least as fast as
+    its w, so a spread within tol_phase always passes that gate."""
+
+    @pytest.mark.parametrize(
+        "start, horizon, equal",
+        [
+            pytest.param(
+                lambda: pc.NetworkState(make_params(100, 0.001, 0.1), pc.sample_phases(7, 100)),
+                200.0, False, id="headline",
+            ),
+            pytest.param(
+                lambda: pc.NetworkState(make_params(100, 0.02, 0.1), pc.sample_phases(100, 100)),
+                5.0, True, id="saturated",
+            ),
+            pytest.param(lambda: pc.matched_phase_pair(_PAIR)[0], 5.0, True, id="matched-pair"),
+        ],
+    )
+    def test_gate_passes_wherever_the_spread_does(self, start, horizon, equal):
+        net = start()
+        g, tol = net._groups, net.params.tol_phase
+        within = 0
+        for _ in itertools.chain((None,), net.run(horizon)):
+            spread = g.spread()
+            assert _w_gap(net) <= spread + 1e-12  # up to _phase's rounding
+            if spread <= tol:
+                within += 1
+                assert _w_gap(net) <= tol + _W_MARGIN
+        assert (within > 0) is equal
+
+    def test_matched_pair_agrees_in_phase_across_two_groups(self):
+        net = pc.matched_phase_pair(_PAIR)[0]
+        list(net.run(_PAIR.coupling.tau))
+        assert len(net._groups.w) == 2
+        assert net._groups.spread() == 0.0
+        assert _w_gap(net) <= _PAIR.tol_phase + _W_MARGIN
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(make_params(100, 0.001, 0.1), id="headline"),
+            pytest.param(make_params(100, 0.02, 0.1), id="saturated"),
+        ],
+    )
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_phase_rounding_just_before_renormalization(self, params, frames):
+        # alpha near 1e-3, where gamma is largest and _phase rounds most.
+        net = pc.NetworkState(params, pc.sample_phases(7, 100))
+        g = net._groups
+        for frame in range(frames):
+            if frame:
+                net.step()  # renormalizes
+            while g.t_next - g.epoch <= g.s_max:
+                net.step()
+        net.drift_to(min(g.t_next, g.epoch + g.s_max))
+        assert math.exp(g.a * (g.now - g.epoch)) == pytest.approx(1e-3)
+        assert g.gamma < 0.0
+        phases = [g.phase(i) for i in range(len(g.w))]
+        errors = [
+            abs(decimal.Decimal(p) - _exact_phase(g, w))
+            for p, w in zip(phases, g.w)
+            if 0.0 < p < 1.0
+        ]
+        assert errors and float(max(errors)) < _W_MARGIN / 1000
+        for i in range(len(phases) - 1):
+            assert g.w[i + 1] - g.w[i] <= phases[i + 1] - phases[i] + 1e-12
+
+    def test_same_verdict_at_the_same_event_as_ungated(self, monkeypatch):
+        calls = []
+        spread = _kernel.Groups.spread
+
+        def counted(groups):
+            calls.append(groups.now)
+            return spread(groups)
+
+        verdicts = Counter()
+        for params, phases, horizon in _gate_starts():
+            want = pc.NetworkState(params, phases)
+            verdict, passes = _ungated(want, horizon)
+            verdicts[verdict] += 1
+            got = pc.NetworkState(params, phases)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernel.Groups, "spread", counted)
+                assert _run_to_sync(got, horizon) is verdict
+            assert got.now.hex() == want.now.hex()
+            # spread() runs at exactly the times the w-gap gate passes;
+            # is_completely_synchronized may read it again there.
+            assert set(calls) == passes
+        assert verdicts == {True: 5, False: 160}
 
 
 class TestMatchedPhasePair:

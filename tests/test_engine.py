@@ -467,9 +467,16 @@ def bits(x) -> str:
     return float(x).hex()
 
 
+def next_time(net) -> float:
+    """The next event time from the views: the earlier of the front group's
+    crossing and the first pulse's arrival."""
+    return min([net.now + (1.0 - net.top), *(s.arrival_time for s in net.pipeline[:1])])
+
+
 class TestCachedTop:
-    """top and bottom are phases.max() and phases.min(), bit for bit, after
-    every change: step(), drift_to(), copy() and inject_pending()."""
+    """top and bottom are phases.max() and phases.min(), and the kernel's
+    t_next is the next event time, bit for bit, after every change: step(),
+    drift_to(), copy() and inject_pending()."""
 
     def assert_top(self, net):
         phases = net.phases
@@ -477,6 +484,8 @@ class TestCachedTop:
         assert bits(net.bottom) == bits(phases.min())
         spread = pc.phase_spread(net)
         assert bits(spread) == bits(phases.max() - phases.min())
+        assert bits(net._groups.t_next) == bits(next_time(net))
+        assert bits(net.next_event_time()) == bits(net._groups.t_next)
 
     def run_checked(self, net, horizon):
         for _ in net.run(horizon):  # step() after step()
@@ -524,19 +533,36 @@ class TestCachedTop:
     def test_renormalize_mid_run_keeps_top(self, headline_params):
         net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
         list(net.run(1.2345))
-        top = net.top
+        top, t_next = net.top, net._groups.t_next
         net._groups.renormalize()
         assert bits(net.top) == bits(top)
+        assert bits(net._groups.t_next) == bits(t_next)
         self.assert_top(net)
         self.run_checked(net, 5.0)
 
     def test_inject_pending_keeps_top(self):
         net = pc.NetworkState(make_params(n=4), [0.5, 0.9, 0.2, 0.7])
         top = net.top
+        assert bits(net._groups.t_next) == bits(1.0 - 0.9)  # oscillator 1 crosses
         net.inject_pending([(0.05, 1), (0.08, 2)])
         assert net.top == top
+        assert bits(net._groups.t_next) == bits(0.05)  # the injected arrival
         self.assert_top(net)
         self.run_checked(net, 3.0)
+
+    def test_stepping_a_copy_keeps_both(self, headline_params):
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        list(net.run(3.0))
+        top, t_next = net.top, net._groups.t_next
+        dup = net.copy()
+        assert bits(dup._groups.t_next) == bits(t_next)
+        for _ in range(200):
+            dup.step()
+            self.assert_top(dup)
+        assert dup.now > net.now
+        assert bits(net.top) == bits(top)
+        assert bits(net._groups.t_next) == bits(t_next)
+        self.assert_top(net)
 
 
 def assert_groups(net):
@@ -731,6 +757,10 @@ def _fired_later(g):
     g.last[0] = g.now + 1.0
 
 
+def _stale_t_next(g):
+    g.t_next += g.tol_time
+
+
 class TestKernelContract:
     """The kernel contract holds after every way the state changes outside
     step(): injected pulses, a copy and a drift."""
@@ -766,6 +796,7 @@ class TestKernelContract:
                 _writable_members, "member arrays are not all read-only", id="members"
             ),
             pytest.param(_fired_later, "a group last fired after now", id="last"),
+            pytest.param(_stale_t_next, "is not the earlier of now + (1 - top)", id="t-next"),
         ],
     )
     def test_check_names_the_broken_rule(self, headline_params, corrupt, rule):
