@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .analysis import (
     InfeasibleScenarioError,
@@ -32,7 +32,6 @@ from .analysis import (
     TwoCliqueState,
     _orbit_columns,
     _run_to_sync,
-    _steps,
     _synchronized,
     audit_run,
     cluster_partition,
@@ -55,8 +54,8 @@ EXIT_RUNTIME = 3
 EXIT_AUDIT = 4
 
 _STABLE_WINDOW = 50
-# Rows per write: one string per chunk keeps memory bounded on long orbits.
-_CSV_CHUNK_ROWS = 4096
+_CSV_BLOCKS_CACHED = 64  # cycle blocks whose tails _write_orbit keeps, about 9 KB each
+_TWO_DIGITS = [f"{j:02d}" for j in range(100)]
 
 
 class _StrictGateError(Exception):
@@ -303,6 +302,28 @@ def cmd_audit(args) -> int:
     return EXIT_OK if audit.ok else EXIT_AUDIT
 
 
+def _write_orbit(stream: TextIO, rows: list[str], column: Callable[[int], int],
+                 start: int, steps: int, every: int, deltas: dict[int, str]) -> None:
+    """Write CSV rows f"{s}{rows[column(s)]}", s = 0..steps, 100 per string;
+    multiples s of every end in deltas.get(column(s - 1), "").  A full block k > 0
+    past start has tails set by its first column: up to _CSV_BLOCKS_CACHED are kept."""
+    cache: dict[int, list[str]] = {}
+    for lo in range(0, steps + 1, 100):
+        hi = min(lo + 100, steps + 1)
+        head, digits = (str(lo // 100), _TWO_DIGITS) if lo else ("", range(100))
+        key = column(lo) if lo >= max(start, 1) and hi - lo == 100 else None
+        tails = cache.get(key)
+        if tails is None:
+            tails = [f"{d}{rows[column(s)]}" for d, s in zip(digits, range(lo, hi))]
+            if key is not None and len(cache) < _CSV_BLOCKS_CACHED:
+                cache[key] = tails
+        if marks := range(max(every, lo + -lo % every), hi, every):
+            tails = tails.copy()
+            for step in marks:
+                tails[step - lo] += deltas.get(column(step - 1), "")
+        stream.write(head + ("\n" + head).join(tails) + "\n")
+
+
 def cmd_returnmap(args) -> int:
     cfg, _ = _prepare(args)
     if cfg.returnmap is None:
@@ -349,13 +370,7 @@ def cmd_returnmap(args) -> int:
 
     with _output(args, cfg) as (stream, summary):
         stream.write("step,theta,p,q,oracle_delta\n")
-        orbit_rows = _steps(rows, start, rm.steps)
-        for lo in range(0, rm.steps + 1, _CSV_CHUNK_ROWS):
-            hi = lo + _CSV_CHUNK_ROWS
-            lines = [f"{s}{row}" for s, row in zip(range(lo, hi), orbit_rows)]
-            for step in range(max(every, lo + -lo % every), lo + len(lines), every):
-                lines[step - lo] += deltas.get(column(step - 1), "")
-            stream.write("\n".join(lines) + "\n")
+        _write_orbit(stream, rows, column, start, rm.steps, every, deltas)
 
     _json_out(
         {

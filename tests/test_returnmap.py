@@ -7,7 +7,9 @@ random feasible states and that orbits stay bounded away from the merged
 fixed point.
 """
 
+import functools
 import hashlib
+import io
 import json
 import tracemalloc
 
@@ -448,7 +450,8 @@ def test_returnmap_cli_non_cycling_orbit_equals_reference(curve, write_config, c
 
 def test_returnmap_memory_does_not_grow_with_steps(write_config, tmp_path):
     # The orbit locks onto its cycle within a few steps; the CLI keeps that
-    # cycle once and writes the copies one chunk at a time, so the traced
+    # cycle once and writes the copies 100 rows at a time, reusing the rows
+    # of blocks that start at the same place in the cycle, so the traced
     # peak is the same at 2e4 and 2e5 steps.
     out = str(tmp_path / "orbit.csv")
 
@@ -470,3 +473,111 @@ def test_returnmap_memory_does_not_grow_with_steps(write_config, tmp_path):
     short, long = peak(20_000), peak(200_000)
     assert long < 1_000_000
     assert abs(long - short) < 200_000
+
+
+@functools.cache
+def oracle_cell(eps, theta, p, q, theta_next):
+    """The oracle_delta cell of a step from (theta, p, q) to theta_next."""
+    curve = pc.CurveSpec(family="ms_exponential", i=1.05)
+    params = pc.ModelParams(curve=curve, coupling=pc.CouplingParams(n=N, epsilon=eps, tau=TAU))
+    oracle = pc.two_clique_oracle_step(pc.TwoCliqueState(theta, p, q), params)
+    return f"{abs(oracle.theta - theta_next):.17g}"
+
+
+class TestReturnmapCsv:
+    """`pcodelay returnmap` writes the CSV a row-by-row loop over the orbit
+    would write, whatever the cycle, step count and oracle spacing."""
+
+    ORBITS = {
+        "late-cycle": (1e-4, 0.6, 3, 7),  # period 2 from step 1423
+        "merged": (EPS, 0.0, 4, 6),  # period 1 from step 1
+        "no-repeat": (1e-7, 0.05, 3, 7),
+    }
+
+    @pytest.mark.parametrize("every", [0, 1, 7, 100, 150, None])  # None: steps + 1
+    @pytest.mark.parametrize("steps", [1, 99, 100, 101, 250, 5000])
+    @pytest.mark.parametrize("orbit", ORBITS)
+    def test_rows_equal_row_by_row_reference(
+        self, curve, write_config, tmp_path, capsys, orbit, steps, every
+    ):
+        eps, theta, p, q = self.ORBITS[orbit]
+        every = steps + 1 if every is None else every
+        states, _ = reference_orbit(curve, theta, p, q, steps, eps)
+        lines = ["step,theta,p,q,oracle_delta"]
+        for s, (theta_s, p_s, q_s) in enumerate(states):
+            delta = ""
+            if every and s and s % every == 0 and states[s - 1][0] > 0.0:
+                delta = oracle_cell(eps, *states[s - 1], theta_s)
+            lines.append(f"{s},{theta_s:.17g},{p_s},{q_s},{delta}")
+        expected = "\n".join(lines) + "\n"
+
+        path = write_config(base_config(n=N, epsilon=eps, returnmap={
+            "theta": theta, "p": p, "q": q, "steps": steps, "oracle_every": every,
+        }))
+        assert main(["returnmap", path]) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "orbit.csv"
+        assert main(["returnmap", path, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
+
+def synthetic_cycle(start, period):
+    """One distinct row per column, shaped like the CLI's rows, and the
+    column of each step for a cycle of period from start."""
+    rows = [
+        f",{(c + 1) / (start + period + 1):.17g},{c % 97},{c % 89},"
+        for c in range(start + period)
+    ]
+
+    def column(step):
+        return step if step < start else start + (step - start) % period
+
+    return rows, column
+
+
+@pytest.mark.parametrize("start", [0, 5, 150, 1423])
+@pytest.mark.parametrize("period", [3, 7, 99, 101, 100_003])
+def test_block_writer_on_cycles_the_map_never_reaches(period, start):
+    # The real map reaches only periods 1 and 2.  Periods that share no
+    # factor with 100 put the blocks at up to period places in the cycle,
+    # more than the writer keeps; a cycle from step 0 puts block 0 (unpadded
+    # step numbers) at the same place in the cycle as later blocks.
+    rows, column = synthetic_cycle(start, period)
+    deltas = {c: f"{c * 1e-13:.17g}" for c in range(0, start + period, 3)}
+    for steps in (1, 99, 100, 101, 250, 15_049):
+        # steps + 1: no oracle step, what cmd_returnmap passes for oracle_every 0.
+        for every in (1, 7, 100, 150, steps + 1):
+            expected = "".join(
+                f"{s}{rows[column(s)]}"
+                + (deltas.get(column(s - 1), "") if s and s % every == 0 else "")
+                + "\n"
+                for s in range(steps + 1)
+            )
+            stream = io.StringIO()
+            pcodelay.cli._write_orbit(stream, rows, column, start, steps, every, deltas)
+            assert stream.getvalue() == expected, (steps, every)
+
+
+def test_block_writer_memory_does_not_grow_with_a_long_period():
+    # No block of a 100,003-step cycle starts where an earlier one did within
+    # 2e6 steps, so every block is built afresh and only the first
+    # _CSV_BLOCKS_CACHED are kept.
+    start, period, every = 5, 100_003, 1000
+    rows, column = synthetic_cycle(start, period)
+    deltas = {c: f"{c * 1e-13:.17g}" for c in range(start + period)}
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            pcodelay.cli._write_orbit(Sink(), rows, column, start, steps, every, deltas)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(200_000), peak(2_000_000)
+    assert long < 1_000_000
+    assert abs(long - short) < 100_000
