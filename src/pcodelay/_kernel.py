@@ -27,12 +27,14 @@ parallel deques ordered by ascending w: index -1 is the front (the highest
 phase, next to fire) and index 0 the back.  Each group has its members, a
 read-only array or, for a group untouched since construction, its index
 into the runs of one sorted index array, and the time they last fired.
-Firing pops groups from the front and appends one merged group at the back.
-An arriving volley whose sources are still exactly one group moves that
-group back by a bisection over w.  Any other volley (injected pulses,
-duplicates, or a group that fired again within the delay) splits the groups
-it touches on demand.  The cost of an event is therefore O(groups touched),
-independent of n.
+Firing pops groups from the front and appends one merged group at the back,
+so an arriving volley whose sources are still exactly one group finds it as
+many places from the back as volleys were queued after it (by bisection
+over w if the groups were reordered since) and moves it back.  Any other
+volley (injected pulses, duplicates, or a group that fired again within the
+delay) splits the groups it touches on demand.  An event costs O(groups
+touched), independent of n, though reading the found group walks O(P/64)
+deque blocks, P the volleys in flight.
 
 Groups also owns the queue, the running minimum gap between two firings of
 one oscillator, the constants epsilon / I, tau, tol_time and 1 - tol_phase,
@@ -280,20 +282,28 @@ class Groups:
         self.gamma -= len(arrived) * d
         ws, members = self.w, self.members
         loose = ()  # the sources no fast path took, rarely any
+        # The fast path: the volley's whole source group, as many places from
+        # the back as volleys were queued after it (each firing queued one
+        # group and one volley), or found by w if a _move, a _split or a
+        # repeat firing reordered the groups since.
+        at = len(pending) + len(volleys)
         for _, src, link in volleys:
-            # The fast path: the volley's whole source group, found by w.
-            i = bisect_left(ws, link)
-            while i < len(ws) and ws[i] == link:
-                if members[i] is src:
-                    w = math.log(math.exp(a * link) + d) / a
-                    if i == 0 or ws[i - 1] <= w:
-                        ws[i] = w  # still in order: the usual case
-                    else:
-                        self._move(i, w)
-                    break
-                i += 1
+            at -= 1
+            i = at
+            if i >= len(ws) or ws[i] != link or members[i] is not src:
+                i = bisect_left(ws, link)
+                while i < len(ws) and ws[i] == link:
+                    if members[i] is src:
+                        break
+                    i += 1
+                else:
+                    loose += (src,)
+                    continue
+            w = math.log(math.exp(a * link) + d) / a
+            if i == 0 or ws[i - 1] <= w:
+                ws[i] = w  # still in order: the usual case
             else:
-                loose += (src,)
+                self._move(i, w)
         if loose:
             self._split(np.concatenate(loose), d)
         return arrived

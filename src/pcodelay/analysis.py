@@ -334,8 +334,11 @@ def audit_run(
             if pend[s] < 0:
                 violate("pulse from {} consumed at t={} was never scheduled", s, t)
                 pend[s] = 0
+        fired = rep.fired
+        if not fired:
+            continue  # no firer: no set to build
         arrived = set(sources)
-        for i in rep.fired:
+        for i in fired:
             if pend[i] > 0:
                 violate("oscillator {} fired at t={} with its own pulse pending", i, t)
             if i in arrived:

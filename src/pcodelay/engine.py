@@ -79,10 +79,6 @@ class PendingSpike(NamedTuple):
     source: int
 
 
-def _ints(v: tuple[int, ...] | np.ndarray) -> tuple[int, ...]:
-    return v if type(v) is tuple else tuple(v.tolist())
-
-
 class StepReport:
     """What one event did.
 
@@ -116,12 +112,16 @@ class StepReport:
 
     @property
     def arrival_sources(self) -> tuple[int, ...]:
-        v = self._arrival_sources = _ints(self._arrival_sources)
+        v = self._arrival_sources
+        if type(v) is not tuple:
+            v = self._arrival_sources = tuple(v.tolist())
         return v
 
     @property
     def fired(self) -> tuple[int, ...]:
-        v = self._fired = _ints(self._fired)
+        v = self._fired
+        if type(v) is not tuple:
+            v = self._fired = tuple(v.tolist())
         return v
 
     def _key(self) -> tuple:

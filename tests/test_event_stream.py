@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import pcodelay as pc
+from pcodelay import _kernel
 from pcodelay.analysis import audit_run
 
 
@@ -37,6 +38,9 @@ STREAMS = {
     (30, 0.02, 7, 50.0): (
         539, 0, "1b7fcebe4d714d9c13e470f77b2781ff4fcfd043db15ec4295ea34bc6fa0026a",
     ),
+    (10000, 1e-5, 7, 0.25): (
+        3938, 0, "02047810cb9aa7eb211adc1ce87f359d5a9be1360f5ccb0bc974dc8cd8db3379",
+    ),
 }
 
 SET_DIGESTS = {
@@ -46,6 +50,8 @@ SET_DIGESTS = {
         "1389abdbc8ac01bb07a942bc50b1003955b4ac30d28f5e8df1de0ba9a0cb6b3c",
     (30, 0.02, 7, 50.0):
         "4eb980db650462914b8f826f8d487e65867603586168edbf72c5e7cdf8e61519",
+    (10000, 1e-5, 7, 0.25):
+        "3fb297fd1e88b5a4443086486a9cfc9b08ba990aed043776d65bbb0f215f5d03",
 }
 
 
@@ -63,11 +69,11 @@ def step_loop(net, horizon):
 
 
 # Both drivers must give the same stream; the step() loop keeps the ids
-# "headline", "n1000" and "saturated".
+# "headline", "n1000", "saturated" and "n10k".
 DRIVEN = [
     pytest.param(key, drive, id=name + suffix)
     for drive, suffix in ((step_loop, ""), (pc.NetworkState.run, "-run"))
-    for key, name in zip(STREAMS, ("headline", "n1000", "saturated"))
+    for key, name in zip(STREAMS, ("headline", "n1000", "saturated", "n10k"), strict=True)
 ]
 
 
@@ -82,8 +88,9 @@ def test_event_stream_digest(key, drive):
     reports = []
     # The kernel contract after every event of one driver; the other steps
     # through the same states.  At n = 1000 a check costs about 1 ms (some
-    # 600 groups), so there it runs every 100th event.
-    stride = 1 if n <= 100 else 100
+    # 600 groups), so there it runs every 100th event; at n = 10^4 (about
+    # 10^4 groups) every 1000th.
+    stride = 1 if n <= 100 else 100 if n <= 1000 else 1000
     for rep in drive(net, horizon):
         reports.append(rep)
         if drive is step_loop and count % stride == 0:
@@ -102,6 +109,23 @@ def test_event_stream_digest(key, drive):
     assert sets.hexdigest() == SET_DIGESTS[key]
     assert h.hexdigest() == digest
     assert net.min_interfire_gap == audit_run(reports, net.params).min_interfire_gap
+
+
+def test_arrivals_find_their_group_at_its_place_in_the_queue(monkeypatch):
+    # absorb() tries the index the queue gives a volley's source group and
+    # searches by w only when the groups were reordered since it fired.
+    searches = 0
+    search = _kernel.bisect_left
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    monkeypatch.setattr(_kernel, "bisect_left", counted)
+    arrivals = sum(len(rep.arrival_sources) > 0 for rep in make_net(100, 0.001, 7).run(100.0))
+    assert arrivals == 911
+    assert searches <= 0.01 * arrivals
 
 
 def test_min_interfire_gap_matches_fire_log_across_copy(headline_params):
