@@ -16,15 +16,14 @@ compiles it. After that load the package is a plain module: its names are
 ordinary bindings that no later lookup rewrites. `from pcodelay import *`
 binds every name of every layer.
 
-The per-event inner loop is one grouped kernel (_kernel.step_once): oscillators
-of equal phase form groups in an affine frame, so an event costs O(groups
-touched), not O(n). step_once decides each event once: it delivers arrivals
-only when a volley is due and fires only at a crossing or when the front
-group, read once after the arrivals, is at threshold. The simulate command
-and desync_trial share one sync-gated run loop (analysis._run_to_sync),
-which runs the full synchrony check only where the O(1) phase spread allows,
-and reads the spread only where the gap between the front and back groups'
-frame coordinates w allows.
+Each event is one function, _kernel.step_once: oscillators of equal phase
+form groups in an affine frame, so an event costs O(groups touched), not
+O(n). It runs the usual event (one volley, one firing group) in one pass and
+leaves the rare cases to helpers. The simulate command and desync_trial
+share one sync-gated run loop (analysis._run_to_sync), which runs the full
+synchrony check only where the O(1) phase spread allows, and reads the
+spread only where the gap between the front and back groups' frame
+coordinates w allows.
 """
 
 import importlib

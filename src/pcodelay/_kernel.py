@@ -27,48 +27,46 @@ parallel deques ordered by ascending w: index -1 is the front (the highest
 phase, next to fire) and index 0 the back.  Each group has its members, a
 read-only array or, for a group untouched since construction, its index
 into the runs of one sorted index array, and the time they last fired.
-Firing pops groups from the front and appends one merged group at the back,
-so an arriving volley whose sources are still exactly one group finds it as
-many places from the back as volleys were queued after it (by bisection
-over w if the groups were reordered since) and moves it back.  Any other
-volley (injected pulses, duplicates, or a group that fired again within the
-delay) splits the groups it touches on demand.  An event costs O(groups
-touched), independent of n, though reading the found group walks O(P/64)
-deque blocks, P the volleys in flight.
-
-Groups also owns the queue, the running minimum gap between two firings of
+Groups also owns the clock, the running minimum gap between two firings of
 one oscillator, the constants epsilon / I, tau, tol_time and 1 - tol_phase,
-and each part of an event: t_next is the earlier of the front group's
-threshold crossing and the first arrival, drift(t) moves the clock, absorb()
-pops and delivers the volleys due, and fire() resets the front group and
-every group behind it at threshold, queues their volley and keeps min_gap.
-step_once is the rule alone, and decides each event once: it calls absorb()
-only when a volley is due, and fire() at a crossing or when the front
-group's phase, read once after the arrivals, is at threshold.  spread() is
-the largest minus the smallest phase in O(1).  check() asserts the contract
-below in O(n log n + G + P); no event calls it.  Only Groups knows the
-queue's layout: volleys (arrival_time, sources, link) in arrival order, one
+and the queue: volleys (arrival_time, sources, link) in arrival order, one
 per firing event, read through pulses() and replaced through load().  link
 is the w the source group had when it was reset, or NaN (equal to no w,
-renormalized to NaN) for loaded pulses; the arriving volley takes the fast
-path when a group with that w still holds exactly its sources.  Every new
-volley is due at event_time + tau, no earlier than any pending one, so the
-queue stays sorted without sorting.
+renormalized to NaN) for loaded pulses.  Every new volley is due at
+event_time + tau, no earlier than any pending one, so the queue stays sorted
+without sorting.
+
+top is the front group's phase and t_next the earlier of its threshold
+crossing and the first arrival; drift(t) moves the clock, spread() is the
+largest minus the smallest phase in O(1), and check() asserts the contract
+below in O(n log n + G + P), called by no event.  step_once is the whole
+event, one function with the state in locals: it delivers the volley due to
+the group its sources still form, found as many places from the back as
+volleys were queued after it (each firing queues one group at the back and
+one volley at the end), reads the front group's phase once, resets that
+group at threshold and queues its volley.  The rare cases are helpers out of
+line, so that the usual event pays for none of their loops and lists: several
+volleys due at one instant, a source group reordered since it fired or
+sources that are not one whole group (injected pulses, duplicates, a group
+that fired again within the delay), a group moved back past its neighbour,
+and several groups at threshold at once.  An event costs O(groups
+touched), independent of n, though reading the found group walks O(P/64)
+deque blocks, P the volleys in flight.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
     at the current instant reads exactly 0.0;
   - phase(-1) is the largest phase and phase(0) the smallest, bit-equal to
     the maximum and minimum of phases();
-  - top is phase(-1), bit for bit, after every change: step_once, fire()
-    and drift() set it, and renormalize() and load() change no phase;
+  - top is phase(-1), bit for bit, after every change: step_once and
+    drift() set it, and renormalize() and load() change no phase;
   - t_next is the earlier of now + (1 - top) and the first volley's time,
     bit for bit, after every change: step_once, drift() and load() set it,
     and renormalize() moves no time;
   - pulses() lists the pulses in flight with nondecreasing arrival times;
   - an oscillator never receives its own pulse (m_i = arrivals from others);
   - a receiver pushed to or past threshold fires in the same event;
-  - absorb() and fire() return read-only arrays, fired ascending.
+  - step_once returns read-only arrays, fired ascending.
 """
 
 from __future__ import annotations
@@ -260,60 +258,44 @@ class Groups:
         del self.w[i], self.members[i], self.last[i]
         self._insert(w, m, t, i)
 
-    def absorb(self) -> np.ndarray:
-        """Pop the volleys due by now + tol_time, at least one, deliver their
-        pulses (epsilon / I each, to all but their own sources) and return
-        their sources."""
+    def _absorb_many(self, volley: tuple, limit: float, d: float) -> np.ndarray:
+        """Pop the volleys due by limit after volley, already popped, deliver
+        all of them (d is the pulse in this frame) and return their sources."""
         pending = self.pending
-        limit = self.now + self.tol_time
-        volley = pending.popleft()
-        if pending and pending[0][0] <= limit:
-            volleys = [volley]
-            while pending and pending[0][0] <= limit:
-                volleys.append(pending.popleft())
-            arrived = _read_only(np.concatenate([v[1] for v in volleys]))
-        else:
-            volleys = (volley,)  # one volley, the usual case: no list to build
-            arrived = volley[1]
-        if self.pulse == 0.0:
-            return arrived
-        a = self.a
-        d = self.pulse / math.exp(a * (self.now - self.epoch))
-        self.gamma -= len(arrived) * d
-        ws, members = self.w, self.members
-        loose = ()  # the sources no fast path took, rarely any
-        # The fast path: the volley's whole source group, as many places from
-        # the back as volleys were queued after it (each firing queued one
-        # group and one volley), or found by w if a _move, a _split or a
-        # repeat firing reordered the groups since.
-        at = len(pending) + len(volleys)
+        volleys = [volley]
+        while pending and pending[0][0] <= limit:
+            volleys.append(pending.popleft())
+        arrived = _read_only(np.concatenate([v[1] for v in volleys]))
+        if d != 0.0:
+            self.gamma -= len(arrived) * d
+            self._deliver(volleys, d)
+        return arrived
+
+    def _deliver(self, volleys, d: float) -> None:
+        """Own-pulse corrections for volleys, gamma already lowered: a source
+        group found by w moves back, other sources split their groups."""
+        ws, members, a = self.w, self.members, self.a
+        loose = ()
         for _, src, link in volleys:
-            at -= 1
-            i = at
-            if i >= len(ws) or ws[i] != link or members[i] is not src:
-                i = bisect_left(ws, link)
-                while i < len(ws) and ws[i] == link:
-                    if members[i] is src:
-                        break
-                    i += 1
-                else:
-                    loose += (src,)
-                    continue
+            i = bisect_left(ws, link)
+            while i < len(ws) and ws[i] == link:
+                if members[i] is src:
+                    break
+                i += 1
+            else:
+                loose += (src,)
+                continue
             w = math.log(math.exp(a * link) + d) / a
             if i == 0 or ws[i - 1] <= w:
-                ws[i] = w  # still in order: the usual case
+                ws[i] = w
             else:
                 self._move(i, w)
         if loose:
             self._split(np.concatenate(loose), d)
-        return arrived
 
     def _split(self, sources: np.ndarray, d: float) -> None:
-        """Own-pulse corrections for sources that are not one whole group.
-
-        Each group holding some of the sources splits by own-pulse count;
-        the parts that sent pulses move back.
-        """
+        """Own-pulse corrections for sources that are not one whole group:
+        each group holding some splits by own-pulse count, senders moving back."""
         counts = np.bincount(sources, minlength=self.n)
         arrays = self._arrays()
         owner = np.empty(self.n, dtype=np.int64)
@@ -333,60 +315,30 @@ class Groups:
         for w, m, t in parts:
             self._insert(w, m, t, len(ws))
 
-    def fire(self) -> np.ndarray:
-        """Reset the front group and every group behind it at or above
-        threshold, queue their volley, lower min_gap and return the firers.
-
-        The caller has found the front group due to fire; top is left at the
-        phase of the front group after the reset.
-        """
+    def _merge(self, fired: np.ndarray, latest: float) -> tuple:
+        """Pop the groups at threshold into fired, popped before them, last
+        fired at latest; return all firers, their latest last firing and top."""
         ws, members, last, now = self.w, self.members, self.last, self.now
-        ws.pop()
-        m, latest = members.pop(), last.pop()
-        fired = self._initial(m) if type(m) is int else m
-        # phase(-1), read with one call.  Once every group has fired, the
-        # reset group is the front.
-        top = 0.0 if not ws or last[-1] == now else self._phase(ws[-1])
-        if top >= self.threshold:
-            # More groups at threshold, the rare case: merge their members.
-            arrays = [fired]
-            while top >= self.threshold:
-                ws.pop()
-                m, t = members.pop(), last.pop()
-                arrays.append(self._initial(m) if type(m) is int else m)
-                if t > latest:
-                    latest = t
-                top = 0.0 if not ws or last[-1] == now else self._phase(ws[-1])
-            fired = _read_only(np.sort(np.concatenate(arrays)))
-        self.top = top
-        # u = 1: v = 1 / alpha - gamma, written so that gamma == 0 gives -s.
-        s = now - self.epoch
-        w = math.log1p(-math.exp(self.a * s) * self.gamma) / self.a - s
-        if ws and w > ws[0]:
-            w = ws[0]  # rounding must not put the reset group ahead
-        ws.appendleft(w)
-        members.appendleft(fired)
-        last.appendleft(now)
-        self.pending.append((now + self.tau, fired, w))
-        # min over firers of now - last equals now - max(last): the rounded
-        # subtraction is monotone in last.
-        gap = now - latest
-        if gap < self.min_gap:
-            self.min_gap = gap
-        return fired
+        arrays = [fired]
+        while True:
+            ws.pop()
+            m, t = members.pop(), last.pop()
+            arrays.append(self._initial(m) if type(m) is int else m)
+            latest = max(latest, t)
+            top = 0.0 if not ws or last[-1] == now else self._phase(ws[-1])
+            if top < self.threshold:
+                return _read_only(np.sort(np.concatenate(arrays))), latest, top
 
 
 def step_once(groups, t_event):
     """Advance to t_event and process the event there.
 
-    When t_event is the front group's threshold crossing, as t_next
-    predicts it, that group fires even if rounding of the clock left it
-    short of 1 - tol_phase.  Otherwise the front group's phase is read once,
-    after any arrivals, and fire() runs only if it is at threshold.  Either
-    way t_next is set for the next event.  Returns (arrived, fired): the
-    sources of every pulse consumed, in queue order, and the oscillators
-    reset.  Both arrays are empty only when t_event is neither a crossing
-    nor an arrival.
+    Delivers the volleys due, then fires the front group if t_event is its
+    crossing as t_next predicts it, even if rounding of the clock left it
+    short of 1 - tol_phase, or if its phase, read once after the arrivals as
+    _phase reads it, is at threshold.  Returns (arrived, fired): the sources
+    of every pulse consumed, in queue order, and the oscillators reset; both
+    are empty only when t_event is neither a crossing nor an arrival.
     """
     if t_event < groups.now:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
@@ -394,18 +346,70 @@ def step_once(groups, t_event):
     if t_event - groups.epoch > groups.s_max:
         groups.renormalize()
     groups.now = t_event
-    pending = groups.pending
-    if pending and pending[0][0] <= t_event + groups.tol_time:
-        arrived = groups.absorb()
-    else:
-        arrived = _NONE
+    ws, members, last, pending = groups.w, groups.members, groups.last, groups.pending
+    a, gamma, s = groups.a, groups.gamma, t_event - groups.epoch
+    alpha = math.exp(a * s)  # once per event, for the arrival and the reset
+    arrived, limit = _NONE, t_event + groups.tol_time
+    if pending and pending[0][0] <= limit:
+        volley = pending.popleft()
+        d = groups.pulse / alpha  # 0.0 exactly when epsilon is
+        if pending and pending[0][0] <= limit:
+            arrived = groups._absorb_many(volley, limit, d)
+            gamma = groups.gamma
+        else:
+            _, arrived, link = volley
+            if d != 0.0:
+                groups.gamma = gamma = gamma - len(arrived) * d
+                i = len(pending)  # the source group's place in the queue
+                if i < len(ws) and ws[i] == link and members[i] is arrived:
+                    w = math.log(math.exp(a * link) + d) / a
+                    if i == 0 or ws[i - 1] <= w:
+                        ws[i] = w  # still in order: the usual case
+                    else:
+                        groups._move(i, w)
+                else:
+                    groups._deliver((volley,), d)
     if not crossing:
-        # phase(-1), read with one call.
-        top = 0.0 if groups.last[-1] == t_event else groups._phase(groups.w[-1])
-        if top < groups.threshold:
+        if last[-1] == t_event:  # top = phase(-1)
+            top = 0.0
+        elif gamma == 0.0:
+            top = s + ws[-1]
+        else:
+            x = math.exp(a * ws[-1]) + gamma
+            top = s + math.log(x) / a if x > 0.0 else 1.0
+        top = 0.0 if top <= 0.0 else (1.0 if top > 1.0 else top)
+        if top < groups.threshold:  # no firing: the usual arrival
             groups.top = top
-            groups._set_t_next()
+            t = t_event + (1.0 - top)
+            groups.t_next = pending[0][0] if pending and pending[0][0] < t else t
             return arrived, _NONE
-    fired = groups.fire()
-    groups._set_t_next()
+    ws.pop()
+    m, latest = members.pop(), last.pop()
+    fired = groups._initial(m) if type(m) is int else m
+    if not ws or last[-1] == t_event:  # once all have fired, the reset group leads
+        top = 0.0
+    elif gamma == 0.0:
+        top = s + ws[-1]
+    else:
+        x = math.exp(a * ws[-1]) + gamma
+        top = s + math.log(x) / a if x > 0.0 else 1.0
+    top = 0.0 if top <= 0.0 else (1.0 if top > 1.0 else top)
+    if top >= groups.threshold:
+        fired, latest, top = groups._merge(fired, latest)
+    groups.top = top
+    # u = 1: v = 1 / alpha - gamma, written so that gamma == 0 gives -s.
+    w = math.log1p(-alpha * gamma) / a - s
+    if ws and w > ws[0]:
+        w = ws[0]  # rounding must not put the reset group ahead
+    ws.appendleft(w)
+    members.appendleft(fired)
+    last.appendleft(t_event)
+    pending.append((t_event + groups.tau, fired, w))
+    # min over firers of now - last equals now - max(last): the rounded
+    # subtraction is monotone in last.
+    gap = t_event - latest
+    if gap < groups.min_gap:
+        groups.min_gap = gap
+    t = t_event + (1.0 - top)
+    groups.t_next = pending[0][0] if pending[0][0] < t else t
     return arrived, fired

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -413,6 +414,7 @@ def cmd_counterexample(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pcodelay",

@@ -253,6 +253,10 @@ class NetworkState:
         Raises RuntimeError when the event consumes no pulse and fires
         nobody: the time next_event_time() gave is then neither an arrival
         nor a crossing, and stepping again would repeat the empty event.
+
+        Observable on this path: next_event_time(), which a subclass may
+        override; _kernel.step_once, looked up at each call so that a wrapper
+        on the module sees every event; and the kernel's global bisect_left.
         """
         t_event = self.next_event_time()
         arrived, fired = _kernel.step_once(self._groups, t_event)

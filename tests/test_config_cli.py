@@ -785,3 +785,35 @@ def test_module_entry_point(write_config, src_on_pythonpath):
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["a2_holds"] is True
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process, so no call may leave an
+    option or an error behind for the next one."""
+
+    def test_parser_is_built_once(self):
+        assert pcodelay.cli.build_parser() is pcodelay.cli.build_parser()
+
+    def test_options_do_not_carry_over(self, write_config, tmp_path, capsys):
+        path = write_config(base_config(n=10, seed=3, horizon=10.0, trials=2))
+        plain = run_cli(capsys, "simulate", path)
+        assert plain[0] == 0 and json.loads(plain[1])["trials"] == 2
+        code, out, err = run_cli(capsys, "simulate", path, "--trials", "3")
+        assert code == 0 and json.loads(out)["trials"] == 3
+        assert run_cli(capsys, "simulate", path) == plain
+
+        strobe = write_config(base_config(n=10, horizon=None, strobe={"ref": 0, "frames": 3}))
+        target = tmp_path / "frames.csv"
+        code, out, err = run_cli(capsys, "strobe", strobe, "--output", str(target))
+        assert code == 0 and target.exists()
+        code, out, err = run_cli(capsys, "strobe", strobe)
+        assert code == 0 and out == target.read_text()
+
+    def test_usage_error_leaves_the_next_call_working(self, write_config, capsys):
+        path = write_config(base_config(n=10, seed=3, horizon=10.0))
+        plain = run_cli(capsys, "simulate", path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", path, "--trials", "three"])
+        assert exc.value.code == 1
+        assert "invalid int value" in capsys.readouterr().err
+        assert run_cli(capsys, "simulate", path) == plain

@@ -819,6 +819,49 @@ class TestKernelContract:
         net._groups.check()
 
 
+# (params, initial phases, injected pulses, horizon): runs that between them
+# take every branch step_once leaves to a helper.  The four event-stream
+# configs never deliver several volleys at one instant or split a group.
+OUT_OF_LINE_RUNS = [
+    # The same pulse twice (two volleys due at once) and loaded volleys,
+    # whose NaN link matches no group, so their sources split it.
+    (make_params(n=6, epsilon=0.002), [0.3, 0.3, 0.3, 0.8, 0.8, 0.8],
+     [(0.05, 0), (0.05, 0), (0.07, 4), (0.09, 0)], 20.0),
+    # Saturated: groups fire again within tau (split), arrivals move groups
+    # back past their neighbours and push several to threshold (merge).
+    (make_params(n=30, epsilon=0.02, tau=0.3), pc.sample_phases(303, 30), [], 30.0),
+    # epsilon = 0: volleys arrive and move nobody, one at a time and two at once.
+    (make_params(n=5, epsilon=0.0), pc.sample_phases(7, 5), [(0.05, 1), (0.05, 2)], 5.0),
+]
+
+
+def test_out_of_line_branches_match_the_reference(monkeypatch):
+    calls = dict.fromkeys(("_absorb_many", "_split", "_move", "_merge"), 0)
+    for name in calls:
+        method = getattr(_kernel.Groups, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(_kernel.Groups, name, counted)
+    uncoupled_arrivals = 0
+    for params, phases, injected, horizon in OUT_OF_LINE_RUNS:
+        net = pc.NetworkState(params, phases)
+        net.inject_pending(injected)
+        got = []
+        for r in net.run(horizon):
+            net._groups.check()
+            got.append((r.event_time, r.arrival_sources, r.fired))
+        want = list(reference_run(params, phases, horizon, injected))
+        assert [g[1:] for g in got] == [w[1:] for w in want]
+        assert np.abs(np.subtract([g[0] for g in got], [w[0] for w in want])).max() <= 1e-12
+        if params.coupling.epsilon == 0.0:
+            uncoupled_arrivals += sum(len(g[1]) > 0 for g in got)
+    assert all(calls.values()), calls
+    assert uncoupled_arrivals > 1
+
+
 class TestStepReport:
     def test_report_from_run_equals_one_built_from_tuples(self):
         net = pc.NetworkState(make_params(n=4), [0.5, 1.0, 1.0, 0.3])
