@@ -50,8 +50,10 @@ volleys due at one instant, a source group reordered since it fired or
 sources that are not one whole group (injected pulses, duplicates, a group
 that fired again within the delay), a group moved back past its neighbour,
 and several groups at threshold at once.  An event costs O(groups
-touched), independent of n, though reading the found group walks O(P/64)
-deque blocks, P the volleys in flight.
+touched), independent of n: a group moved back swaps places with each group
+it passes, and a volley whose group has since moved one place ahead finds it
+there before any search.  Each deque index still walks O(P/64) blocks, P the
+volleys in flight.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
@@ -245,18 +247,15 @@ class Groups:
         )
         self._set_t_next()
 
-    def _insert(self, w: float, m, t: float, hi: int) -> None:
-        """Insert a group among the first hi, after those with equal w."""
-        j = bisect_right(self.w, w, 0, hi)
-        self.w.insert(j, w)
-        self.members.insert(j, m)
-        self.last.insert(j, t)
-
     def _move(self, i: int, w: float) -> None:
-        """Give the group at index i a w below its back neighbour's."""
-        m, t = self.members[i], self.last[i]
-        del self.w[i], self.members[i], self.last[i]
-        self._insert(w, m, t, i)
+        """Give the group at index i a w below its back neighbour's: it moves
+        back past every group with a larger w, staying after an equal one."""
+        ws, members, last = self.w, self.members, self.last
+        m, t = members[i], last[i]
+        while i and ws[i - 1] > w:
+            ws[i], members[i], last[i] = ws[i - 1], members[i - 1], last[i - 1]
+            i -= 1
+        ws[i], members[i], last[i] = w, m, t
 
     def _absorb_many(self, volley: tuple, limit: float, d: float) -> np.ndarray:
         """Pop the volleys due by limit after volley, already popped, deliver
@@ -276,15 +275,23 @@ class Groups:
         group found by w moves back, other sources split their groups."""
         ws, members, a = self.w, self.members, self.a
         loose = ()
+        place = len(self.pending) + len(volleys)
         for _, src, link in volleys:
-            i = bisect_left(ws, link)
-            while i < len(ws) and ws[i] == link:
-                if members[i] is src:
+            # The source group sits where the queue left it, or one place
+            # ahead if a group moved back past it; otherwise search by w.
+            place -= 1
+            for i in (place, place + 1):
+                if i < len(ws) and ws[i] == link and members[i] is src:
                     break
-                i += 1
             else:
-                loose += (src,)
-                continue
+                i = bisect_left(ws, link)
+                while i < len(ws) and ws[i] == link:
+                    if members[i] is src:
+                        break
+                    i += 1
+                else:
+                    loose += (src,)
+                    continue
             w = math.log(math.exp(a * link) + d) / a
             if i == 0 or ws[i - 1] <= w:
                 ws[i] = w
@@ -313,7 +320,10 @@ class Groups:
                 part = _read_only(m[own == c])
                 parts.append((math.log(math.exp(a * w) + c * d) / a if c else w, part, t))
         for w, m, t in parts:
-            self._insert(w, m, t, len(ws))
+            j = bisect_right(ws, w)  # after the groups with equal w
+            ws.insert(j, w)
+            members.insert(j, m)
+            last.insert(j, t)
 
     def _merge(self, fired: np.ndarray, latest: float) -> tuple:
         """Pop the groups at threshold into fired, popped before them, last
@@ -327,7 +337,9 @@ class Groups:
             latest = max(latest, t)
             top = 0.0 if not ws or last[-1] == now else self._phase(ws[-1])
             if top < self.threshold:
-                return _read_only(np.sort(np.concatenate(arrays))), latest, top
+                merged = np.concatenate(arrays)
+                merged.sort()
+                return _read_only(merged), latest, top
 
 
 def step_once(groups, t_event):

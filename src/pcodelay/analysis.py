@@ -325,19 +325,25 @@ def audit_run(
         if len(violations) < _VIOLATIONS_KEPT:
             violations.append(template.format(*args))
 
+    # Each report's fields as stored: the kernel's arrays are listed once
+    # here, without building the tuples the properties would cache.
     for rep in reports:
         events += 1
-        t = rep.event_time
-        sources = rep.arrival_sources
+        t = rep._event_time
+        sources = rep._arrival_sources
+        if type(sources) is not tuple:
+            sources = sources.tolist()
         for s in sources:
             pend[s] -= 1
             if pend[s] < 0:
                 violate("pulse from {} consumed at t={} was never scheduled", s, t)
                 pend[s] = 0
-        fired = rep.fired
+        fired = rep._fired
+        if type(fired) is not tuple:
+            fired = fired.tolist()
         if not fired:
-            continue  # no firer: no set to build
-        arrived = set(sources)
+            continue
+        arrived = set(sources) if sources else ()  # built only for firers
         for i in fired:
             if pend[i] > 0:
                 violate("oscillator {} fired at t={} with its own pulse pending", i, t)

@@ -480,6 +480,30 @@ class TestAuditRun:
         assert not audit.ok
         assert pc.audit_run(iter(broken), headline_params) == audit
 
+    @pytest.mark.parametrize("config", ["saturated", "headline"])
+    def test_kernel_reports_and_tuple_reports_give_the_same_audit(
+        self, config, headline_params
+    ):
+        if config == "saturated":
+            params, start = make_params(30, 0.02, 0.3), pc.sample_phases(303, 30)
+        else:
+            params, start = headline_params, pc.sample_phases(7, 100)
+        reports = list(pc.NetworkState(params, start).run(30.0))
+        built = [
+            StepReport(r.event_time, tuple(r._arrival_sources.tolist()),
+                       tuple(r._fired.tolist()))
+            for r in reports
+        ]
+        audit = pc.audit_run(reports, params)
+        assert all(type(r._fired) is np.ndarray for r in reports)
+        assert pc.audit_run(built, params) == audit
+        assert audit.ok == (config == "headline")
+        assert bool(audit.violations) == (config == "saturated")
+        # Reports whose tuples some reader already built give it too.
+        for r in reports[::2]:
+            r.arrival_sources, r.fired
+        assert pc.audit_run(reports, params) == audit
+
     def test_detects_refire_while_own_pulse_pending(self, headline_params):
         tau = headline_params.coupling.tau
         reports = (

@@ -112,8 +112,9 @@ def test_event_stream_digest(key, drive):
 
 
 def test_arrivals_find_their_group_at_its_place_in_the_queue(monkeypatch):
-    # absorb() tries the index the queue gives a volley's source group and
-    # searches by w only when the groups were reordered since it fired.
+    # step_once tries the index the queue gives a volley's source group, and
+    # _deliver the one ahead of it too; they search by w only when the groups
+    # were reordered since it fired.
     searches = 0
     search = _kernel.bisect_left
 
