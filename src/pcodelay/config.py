@@ -24,6 +24,11 @@ Schema:
                     "steps": 1000, "oracle_every": 0}         # optional
     }
 
+Fields marked optional may be left out, as may init.low (0), init.high (1),
+each tolerance, output.path and returnmap.oracle_every (0).  Each section's
+fields, kinds, defaults and one-field rules are one table in this module;
+parse_config adds the rules that span fields.
+
 Uniform initial phases are drawn on (low, high] from SplitMix64(seed), one
 draw per oscillator in index order; trial t of a multi-trial run uses seed
 (seed + t) mod 2**64.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +58,6 @@ __all__ = [
     "parse_config",
     "load_config",
 ]
-
-_DEFAULT_CLUSTER_TOL = 1e-6
-
 
 class ConfigError(ValueError):
     """Malformed run configuration; the message names the field."""
@@ -134,196 +137,166 @@ def _finite(value: int | float) -> bool:
         return False
 
 
-def _expect(raw: dict, key: str, kind: str, path: str = ""):
-    where = f"{path}.{key}" if path else key
-    if key not in raw:
+_REQUIRED = object()
+_MAX_N = int(np.iinfo(np.intp).max)  # the largest numpy array length
+
+# The Python types of each JSON kind.  A bool is an int to Python, so it
+# passes only as a boolean.
+_KINDS = {"number": (int, float), "integer": int, "string": str, "object": dict,
+          "array": list, "boolean": bool}
+
+# One field of a section, of a JSON kind.  A default of None leaves the
+# field None when it is absent.  test, if given, must hold for the value, or
+# the error reads "<path>: <text>", text formatted with the value.
+_Field = namedtuple("_Field", "key kind default test text", defaults=(_REQUIRED, None, ""))
+
+_CURVE = (_Field("family", "string"), _Field("i", "number"))
+_TOLERANCES = (
+    _Field("tol_time", "number", None),
+    _Field("tol_phase", "number", None),
+    _Field("cluster_tol", "number", 1e-6, lambda v: v > 0.0, "must be > 0"),
+)
+_MODE = _Field("mode", "string", test=lambda m: m in _INIT,
+               text="expected 'uniform' or 'explicit', got {!r}")
+_INIT = {
+    "uniform": (_MODE, _Field("low", "number", 0.0, lambda v: v >= 0.0, "must be >= 0"),
+                _Field("high", "number", 1.0, lambda v: v <= 1.0, "must be <= 1")),
+    "explicit": (_MODE, _Field("phases", "array")),
+}
+_STROBE = (
+    _Field("ref", "integer"),
+    _Field("frames", "integer", test=lambda v: v >= 1, text="must be >= 1"),
+)
+_OUTPUT = (
+    _Field("format", "string", test=lambda f: f in ("csv", "svg"),
+           text="expected 'csv' or 'svg', got {!r}"),
+    _Field("path", "string", None, lambda p: p != "", "must be non-empty"),
+)
+_RETURNMAP = (
+    _Field("theta", "number", test=lambda v: 0.0 <= v < 1.0, text="must lie in [0, 1)"),
+    _Field("p", "integer"),
+    _Field("q", "integer"),
+    _Field("steps", "integer", test=lambda v: v >= 1, text="must be >= 1"),
+    _Field("oracle_every", "integer", 0, lambda v: v >= 0, "must be >= 0"),
+)
+# The sections are plain objects here; parse_config reads each with its table.
+_TOP = (
+    _Field("n", "integer", test=lambda v: v <= _MAX_N, text=f"must be <= {_MAX_N}"),
+    _Field("epsilon", "number"),
+    _Field("tau", "number"),
+    _Field("curve", "object"),
+    _Field("tolerances", "object", {}),
+    _Field("seed", "integer", test=lambda v: v >= 0, text="must be >= 0"),
+    _Field("init", "object"),
+    _Field("horizon", "number", None, lambda v: v > 0.0, "must be > 0"),
+    _Field("strobe", "object", None),
+    _Field("output", "object", None),
+    _Field("strict", "boolean", False),
+    _Field("trials", "integer", 1),
+    _Field("returnmap", "object", None),
+)
+
+
+def _field(raw: dict, path: str, field: _Field):
+    """One field's value: its default if absent, numbers as floats."""
+    where = f"{path}.{field.key}" if path else field.key
+    if field.key in raw:
+        value = raw[field.key]
+    elif field.default is _REQUIRED:
         raise ConfigError(f"missing required field: {where}")
-    value = raw[key]
-    ok = {
-        "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "string": lambda v: isinstance(v, str),
-        "object": lambda v: isinstance(v, dict),
-        "array": lambda v: isinstance(v, list),
-        "boolean": lambda v: isinstance(v, bool),
-    }[kind]
-    if not ok(value):
+    elif field.default is None:
+        return None
+    else:
+        value = field.default
+    kind = field.kind
+    if not isinstance(value, _KINDS[kind]) or isinstance(value, bool) != (kind == "boolean"):
         raise ConfigError(f"{where}: expected {kind}, got {type(value).__name__}")
-    if kind == "number" and not _finite(value):
-        raise ConfigError(f"{where}: must be finite")
+    if kind == "number":
+        if not _finite(value):
+            raise ConfigError(f"{where}: must be finite")
+        value = float(value)
+    if field.test is not None and not field.test(value):
+        raise ConfigError(f"{where}: {field.text.format(value)}")
     return value
 
 
-def _reject_unknown(raw: dict, known: set[str], path: str = "") -> None:
+def _fields(raw: dict | None, path: str, table: tuple[_Field, ...]) -> dict | None:
+    """Check raw against a field table: no unknown keys, then each field in order."""
+    if raw is None:  # an optional object left out
+        return None
+    known = [field.key for field in table]
     for key in raw:
         if key not in known:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown field: {where}")
+            raise ConfigError(f"unknown field: {path}.{key}" if path else f"unknown field: {key}")
+    return {field.key: _field(raw, path, field) for field in table}
+
+
+def _build(prefix: str, record: type, **fields):
+    """record(**fields), its ValueError a ConfigError with the message prefixed."""
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ConfigError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
-    _reject_unknown(raw, {
-        "n", "epsilon", "tau", "curve", "seed", "init", "horizon", "strobe",
-        "tolerances", "output", "strict", "trials", "returnmap",
-    })
+    top = _fields(raw, "", _TOP)
 
-    n = _expect(raw, "n", "integer")
-    if n > np.iinfo(np.intp).max:  # the largest numpy array length
-        raise ConfigError(f"n: must be <= {np.iinfo(np.intp).max}")
-    epsilon = _expect(raw, "epsilon", "number")
-    tau = _expect(raw, "tau", "number")
-    try:
-        coupling = CouplingParams(n=n, epsilon=float(epsilon), tau=float(tau))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    curve_raw = _expect(raw, "curve", "object")
-    _reject_unknown(curve_raw, {"family", "i"}, "curve")
-    family = _expect(curve_raw, "family", "string", "curve")
-    i_value = _expect(curve_raw, "i", "number", "curve")
-    try:
-        curve = CurveSpec(family=family, i=float(i_value))
-    except ValueError as exc:
-        raise ConfigError(f"curve: {exc}") from exc
-
+    n = top["n"]
+    coupling = _build("", CouplingParams, n=n, epsilon=top["epsilon"], tau=top["tau"])
+    curve = _build("curve: ", CurveSpec, **_fields(top["curve"], "curve", _CURVE))
     # ModelParams keeps the defaults of the engine's tolerances; pass only
     # those the config sets.
-    model_tols, cluster_tol = {}, _DEFAULT_CLUSTER_TOL
-    if "tolerances" in raw:
-        tol_raw = _expect(raw, "tolerances", "object")
-        _reject_unknown(tol_raw, {"tol_time", "tol_phase", "cluster_tol"}, "tolerances")
-        for key in ("tol_time", "tol_phase"):
-            if key in tol_raw:
-                model_tols[key] = float(_expect(tol_raw, key, "number", "tolerances"))
-        if "cluster_tol" in tol_raw:
-            cluster_tol = float(_expect(tol_raw, "cluster_tol", "number", "tolerances"))
-            if not cluster_tol > 0.0:
-                raise ConfigError("tolerances.cluster_tol: must be > 0")
-    try:
-        params = ModelParams(curve=curve, coupling=coupling, **model_tols)
-    except ValueError as exc:
-        raise ConfigError(f"tolerances: {exc}") from exc
+    tols = _fields(top["tolerances"], "tolerances", _TOLERANCES)
+    model_tols = {k: tols[k] for k in ("tol_time", "tol_phase") if tols[k] is not None}
+    params = _build("tolerances: ", ModelParams, curve=curve, coupling=coupling, **model_tols)
 
-    seed = _expect(raw, "seed", "integer")
-    if seed < 0:
-        raise ConfigError("seed: must be >= 0")
-
-    init_raw = _expect(raw, "init", "object")
-    mode = _expect(init_raw, "mode", "string", "init")
+    mode = _field(top["init"], "init", _MODE)
+    fields = _fields(top["init"], "init", _INIT[mode])
     if mode == "uniform":
-        _reject_unknown(init_raw, {"mode", "low", "high"}, "init")
-        low = float(_expect(init_raw, "low", "number", "init")) if "low" in init_raw else 0.0
-        high = float(_expect(init_raw, "high", "number", "init")) if "high" in init_raw else 1.0
-        if not 0.0 <= low:
-            raise ConfigError("init.low: must be >= 0")
-        if not high <= 1.0:
-            raise ConfigError("init.high: must be <= 1")
-        if not low < high:
+        if not fields["low"] < fields["high"]:
             raise ConfigError("init.low: must be < init.high")
-        init: UniformInit | ExplicitInit = UniformInit(low=low, high=high)
-    elif mode == "explicit":
-        _reject_unknown(init_raw, {"mode", "phases"}, "init")
-        phases_raw = _expect(init_raw, "phases", "array", "init")
-        if len(phases_raw) != n:
-            raise ConfigError(
-                f"init.phases: expected {n} entries, got {len(phases_raw)}"
-            )
-        phases = []
-        for ix, value in enumerate(phases_raw):
+        init: UniformInit | ExplicitInit = UniformInit(low=fields["low"], high=fields["high"])
+    else:
+        phases = fields["phases"]
+        if len(phases) != n:
+            raise ConfigError(f"init.phases: expected {n} entries, got {len(phases)}")
+        for ix, value in enumerate(phases):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"init.phases[{ix}]: expected number")
             if not _finite(value) or not 0.0 < value <= 1.0:
                 raise ConfigError(f"init.phases[{ix}]: must lie in (0, 1]")
-            phases.append(float(value))
-        init = ExplicitInit(phases=tuple(phases))
-    else:
-        raise ConfigError(f"init.mode: expected 'uniform' or 'explicit', got {mode!r}")
+        init = ExplicitInit(phases=tuple(map(float, phases)))
 
-    has_horizon = "horizon" in raw
-    has_strobe = "strobe" in raw
-    if has_horizon == has_strobe:
+    if (top["horizon"] is None) == (top["strobe"] is None):
         raise ConfigError("exactly one of 'horizon' or 'strobe' is required")
-    horizon = None
-    strobe = None
-    if has_horizon:
-        horizon = float(_expect(raw, "horizon", "number"))
-        if not horizon > 0.0:
-            raise ConfigError("horizon: must be > 0")
-    else:
-        strobe_raw = _expect(raw, "strobe", "object")
-        _reject_unknown(strobe_raw, {"ref", "frames"}, "strobe")
-        ref = _expect(strobe_raw, "ref", "integer", "strobe")
-        frames = _expect(strobe_raw, "frames", "integer", "strobe")
-        if not 0 <= ref < n:
+    strobe = _fields(top["strobe"], "strobe", _STROBE)
+    if strobe is not None:
+        if not 0 <= strobe["ref"] < n:
             raise ConfigError(f"strobe.ref: must lie in [0, {n})")
-        if frames < 1:
-            raise ConfigError("strobe.frames: must be >= 1")
-        strobe = StrobeSpec(ref=ref, frames=frames)
+        strobe = StrobeSpec(**strobe)
 
-    output = None
-    if "output" in raw:
-        out_raw = _expect(raw, "output", "object")
-        _reject_unknown(out_raw, {"format", "path"}, "output")
-        fmt = _expect(out_raw, "format", "string", "output")
-        if fmt not in ("csv", "svg"):
-            raise ConfigError(f"output.format: expected 'csv' or 'svg', got {fmt!r}")
-        path = None
-        if "path" in out_raw:
-            path = _expect(out_raw, "path", "string", "output")
-            if not path:
-                raise ConfigError("output.path: must be non-empty")
-        output = OutputSpec(format=fmt, path=path)
-
-    strict = bool(_expect(raw, "strict", "boolean")) if "strict" in raw else False
-
-    trials = _expect(raw, "trials", "integer") if "trials" in raw else 1
-
-    returnmap = None
-    if "returnmap" in raw:
-        rm_raw = _expect(raw, "returnmap", "object")
-        _reject_unknown(rm_raw, {"theta", "p", "q", "steps", "oracle_every"}, "returnmap")
-        # + 0.0 turns -0.0 into 0.0, which is the same merged state.
-        theta = float(_expect(rm_raw, "theta", "number", "returnmap")) + 0.0
-        p = _expect(rm_raw, "p", "integer", "returnmap")
-        q = _expect(rm_raw, "q", "integer", "returnmap")
-        steps = _expect(rm_raw, "steps", "integer", "returnmap")
-        oracle_every = (
-            _expect(rm_raw, "oracle_every", "integer", "returnmap")
-            if "oracle_every" in rm_raw
-            else 0
-        )
-        if not 0.0 <= theta < 1.0:
-            raise ConfigError("returnmap.theta: must lie in [0, 1)")
-        if p < 1 or q < 1:
+    output = _fields(top["output"], "output", _OUTPUT)
+    returnmap = _fields(top["returnmap"], "returnmap", _RETURNMAP)
+    if returnmap is not None:
+        if returnmap["p"] < 1 or returnmap["q"] < 1:
             raise ConfigError("returnmap.p: clique sizes must be >= 1")
-        if p + q != n:
+        if returnmap["p"] + returnmap["q"] != n:
             raise ConfigError(f"returnmap.p: p + q must equal n = {n}")
-        if steps < 1:
-            raise ConfigError("returnmap.steps: must be >= 1")
-        if oracle_every < 0:
-            raise ConfigError("returnmap.oracle_every: must be >= 0")
-        returnmap = ReturnMapSpec(
-            theta=theta, p=p, q=q, steps=steps, oracle_every=oracle_every
-        )
+        # + 0.0 turns -0.0 into 0.0, which is the same merged state.
+        returnmap = ReturnMapSpec(**{**returnmap, "theta": returnmap["theta"] + 0.0})
 
     return RunConfig(
-        params=params,
-        seed=seed,
-        init=init,
-        horizon=horizon,
-        strobe=strobe,
-        cluster_tol=cluster_tol,
-        strict=strict,
-        trials=trials,
-        output=output,
-        returnmap=returnmap,
+        params=params, seed=top["seed"], init=init, horizon=top["horizon"], strobe=strobe,
+        cluster_tol=tols["cluster_tol"], strict=top["strict"], trials=top["trials"],
+        output=output and OutputSpec(**output), returnmap=returnmap,
     )
 
 

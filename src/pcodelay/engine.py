@@ -99,9 +99,14 @@ class StepReport:
     def __init__(
         self,
         event_time: float,
-        arrival_sources: tuple[int, ...] | np.ndarray,
-        fired: tuple[int, ...] | np.ndarray,
+        arrival_sources: Sequence[int] | np.ndarray,
+        fired: Sequence[int] | np.ndarray,
     ) -> None:
+        # Any other sequence is kept as a tuple, the form the readers expect.
+        if not isinstance(arrival_sources, np.ndarray):
+            arrival_sources = tuple(arrival_sources)
+        if not isinstance(fired, np.ndarray):
+            fired = tuple(fired)
         self._event_time = event_time
         self._arrival_sources = arrival_sources
         self._fired = fired

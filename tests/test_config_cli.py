@@ -5,6 +5,7 @@ JSON output; one subprocess test covers the python -m entry point.
 """
 
 import contextlib
+import copy
 import hashlib
 import json
 import math
@@ -13,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcodelay as pc
 import pcodelay.cli
@@ -96,6 +99,15 @@ class TestParseConfig:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{nope")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter reads integers of any length",
+    )
+    def test_integer_past_the_digit_limit_is_a_config_error(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
+            parse_config('{"n": ' + "1" * digits + "}")
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigError, match="top level"):
@@ -201,6 +213,265 @@ REJECTED = [
     ("returnmap.oracle_every",
      {"returnmap": {"theta": 0.1, "p": 50, "q": 50, "steps": 1, "oracle_every": -1}}),
 ]
+
+
+MAX_N = int(np.iinfo(np.intp).max)  # the largest numpy array length
+
+# The full text of each message above, by field: those tables check only
+# where it starts.
+OVERSIZED_TEXT = {
+    "n": f"n: must be <= {MAX_N}",
+    "epsilon": "epsilon: must be finite",
+    "tau": "tau: must be finite",
+    "horizon": "horizon: must be finite",
+    "curve.i": "curve.i: must be finite",
+    "init.phases[99]": "init.phases[99]: must lie in (0, 1]",
+    "init.high": "init.high: must be finite",
+    "tolerances.cluster_tol": "tolerances.cluster_tol: must be finite",
+    "returnmap.theta": "returnmap.theta: must be finite",
+}
+REJECTED_TEXT = {
+    "tau": "tau must be > 0, got 0.0",
+    "curve: ": "curve: curve parameter i must be > 1, got 1.0",
+    "tolerances: tol_time":
+        "tolerances: tol_time must lie in (0, tau/100) = (0, 0.001), got 0.01",
+    "tolerances.cluster_tol": "tolerances.cluster_tol: must be > 0",
+    "init.phases[1]": "init.phases[1]: expected number",
+    "init.mode": "init.mode: expected 'uniform' or 'explicit', got 'gaussian'",
+    "horizon": "horizon: must be > 0",
+    "strobe.frames": "strobe.frames: must be >= 1",
+    "output.format": "output.format: expected 'csv' or 'svg', got 'png'",
+    "output.path": "output.path: must be non-empty",
+    "returnmap.theta": "returnmap.theta: must lie in [0, 1)",
+    "returnmap.p": "returnmap.p: clique sizes must be >= 1",
+    "returnmap.steps": "returnmap.steps: must be >= 1",
+    "returnmap.oracle_every": "returnmap.oracle_every: must be >= 0",
+}
+
+_EXPLICIT = {"mode": "explicit", "phases": [0.5, 1.0]}
+_RETURNMAP = {"theta": 0.1, "p": 50, "q": 50, "steps": 1}
+
+
+def _returnmap(**fields):
+    """A returnmap section; a field set to ... is left out."""
+    merged = {**_RETURNMAP, **fields}
+    return {"returnmap": {k: v for k, v in merged.items() if v is not ...}}
+
+
+# base_config overrides that make exactly one error, and the whole message
+# it gives.  Each required field missing, each field of the wrong kind, an
+# unknown key in each section, non-finite numbers and every range check.
+ONE_ERROR = [
+    ("missing-n", {"n": None}, "missing required field: n"),
+    ("missing-epsilon", {"epsilon": None}, "missing required field: epsilon"),
+    ("missing-tau", {"tau": None}, "missing required field: tau"),
+    ("missing-curve", {"curve": None}, "missing required field: curve"),
+    ("missing-seed", {"seed": None}, "missing required field: seed"),
+    ("missing-init", {"init": None}, "missing required field: init"),
+    ("missing-horizon", {"horizon": None},
+     "exactly one of 'horizon' or 'strobe' is required"),
+    ("missing-curve.family", {"curve": {"i": 1.05}}, "missing required field: curve.family"),
+    ("missing-curve.i", {"curve": {"family": "ms_exponential"}},
+     "missing required field: curve.i"),
+    ("missing-init.mode", {"init": {}}, "missing required field: init.mode"),
+    ("missing-init.phases", {"init": {"mode": "explicit"}},
+     "missing required field: init.phases"),
+    ("missing-strobe.ref", {"horizon": None, "strobe": {"frames": 1}},
+     "missing required field: strobe.ref"),
+    ("missing-strobe.frames", {"horizon": None, "strobe": {"ref": 0}},
+     "missing required field: strobe.frames"),
+    ("missing-output.format", {"output": {}}, "missing required field: output.format"),
+    ("missing-returnmap.theta", _returnmap(theta=...), "missing required field: returnmap.theta"),
+    ("missing-returnmap.p", _returnmap(p=...), "missing required field: returnmap.p"),
+    ("missing-returnmap.q", _returnmap(q=...), "missing required field: returnmap.q"),
+    ("missing-returnmap.steps", _returnmap(steps=...), "missing required field: returnmap.steps"),
+    ("kind-n-str", {"n": "100"}, "n: expected integer, got str"),
+    ("kind-n-float", {"n": 100.0}, "n: expected integer, got float"),
+    ("kind-n-bool", {"n": True}, "n: expected integer, got bool"),
+    ("kind-epsilon", {"epsilon": "0.001"}, "epsilon: expected number, got str"),
+    ("kind-epsilon-bool", {"epsilon": False}, "epsilon: expected number, got bool"),
+    ("kind-tau", {"tau": [0.1]}, "tau: expected number, got list"),
+    ("kind-curve", {"curve": "ms_exponential"}, "curve: expected object, got str"),
+    ("kind-curve.family", {"curve": {"family": 1, "i": 1.05}},
+     "curve.family: expected string, got int"),
+    ("kind-curve.i", {"curve": {"family": "ms_exponential", "i": "1.05"}},
+     "curve.i: expected number, got str"),
+    ("kind-seed", {"seed": 7.0}, "seed: expected integer, got float"),
+    ("kind-init", {"init": ["uniform"]}, "init: expected object, got list"),
+    ("kind-init.mode", {"init": {"mode": 1}}, "init.mode: expected string, got int"),
+    ("kind-init.low", {"init": {"mode": "uniform", "low": "0"}},
+     "init.low: expected number, got str"),
+    ("kind-init.high", {"init": {"mode": "uniform", "high": None}},
+     "init.high: expected number, got NoneType"),
+    ("kind-init.phases", {"n": 2, "init": {"mode": "explicit", "phases": {"0": 0.5}}},
+     "init.phases: expected array, got dict"),
+    ("kind-init.phases[0]", {"n": 2, "init": {"mode": "explicit", "phases": [True, 0.5]}},
+     "init.phases[0]: expected number"),
+    ("kind-horizon", {"horizon": "100"}, "horizon: expected number, got str"),
+    ("kind-strobe", {"horizon": None, "strobe": 1}, "strobe: expected object, got int"),
+    ("kind-strobe.ref", {"horizon": None, "strobe": {"ref": 0.0, "frames": 1}},
+     "strobe.ref: expected integer, got float"),
+    ("kind-strobe.frames", {"horizon": None, "strobe": {"ref": 0, "frames": "1"}},
+     "strobe.frames: expected integer, got str"),
+    ("kind-tolerances", {"tolerances": [1e-9]}, "tolerances: expected object, got list"),
+    ("kind-tolerances.tol_time", {"tolerances": {"tol_time": "1e-9"}},
+     "tolerances.tol_time: expected number, got str"),
+    ("kind-tolerances.tol_phase", {"tolerances": {"tol_phase": None}},
+     "tolerances.tol_phase: expected number, got NoneType"),
+    ("kind-tolerances.cluster_tol", {"tolerances": {"cluster_tol": True}},
+     "tolerances.cluster_tol: expected number, got bool"),
+    ("kind-output", {"output": "csv"}, "output: expected object, got str"),
+    ("kind-output.format", {"output": {"format": 1}}, "output.format: expected string, got int"),
+    ("kind-output.path", {"output": {"format": "csv", "path": 1}},
+     "output.path: expected string, got int"),
+    ("kind-strict", {"strict": 1}, "strict: expected boolean, got int"),
+    ("kind-trials", {"trials": 1.5}, "trials: expected integer, got float"),
+    ("kind-returnmap", {"returnmap": [_RETURNMAP]}, "returnmap: expected object, got list"),
+    ("kind-returnmap.theta", _returnmap(theta="0.1"),
+     "returnmap.theta: expected number, got str"),
+    ("kind-returnmap.p", _returnmap(p=50.0), "returnmap.p: expected integer, got float"),
+    ("kind-returnmap.q", _returnmap(q="50"), "returnmap.q: expected integer, got str"),
+    ("kind-returnmap.steps", _returnmap(steps=None),
+     "returnmap.steps: expected integer, got NoneType"),
+    ("kind-returnmap.oracle_every", _returnmap(oracle_every=False),
+     "returnmap.oracle_every: expected integer, got bool"),
+    ("unknown-top", {"sead": 7}, "unknown field: sead"),
+    ("unknown-curve", {"curve": {"family": "ms_exponential", "i": 1.05, "a": 1}},
+     "unknown field: curve.a"),
+    ("unknown-tolerances", {"tolerances": {"tol": 1e-9}}, "unknown field: tolerances.tol"),
+    ("unknown-init-uniform", {"init": {"mode": "uniform", "phases": [0.5]}},
+     "unknown field: init.phases"),
+    ("unknown-init-explicit", {"n": 2, "init": {**_EXPLICIT, "low": 0.0}},
+     "unknown field: init.low"),
+    ("unknown-strobe", {"horizon": None, "strobe": {"ref": 0, "frames": 1, "k": 1}},
+     "unknown field: strobe.k"),
+    ("unknown-output", {"output": {"format": "csv", "file": "x.csv"}},
+     "unknown field: output.file"),
+    ("unknown-returnmap", _returnmap(oracle=1), "unknown field: returnmap.oracle"),
+    ("nan-epsilon", {"epsilon": math.nan}, "epsilon: must be finite"),
+    ("inf-tau", {"tau": math.inf}, "tau: must be finite"),
+    ("inf-curve.i", {"curve": {"family": "ms_exponential", "i": -math.inf}},
+     "curve.i: must be finite"),
+    ("nan-init.low", {"init": {"mode": "uniform", "low": math.nan}}, "init.low: must be finite"),
+    ("nan-init.phases[1]", {"n": 2, "init": {"mode": "explicit", "phases": [0.5, math.nan]}},
+     "init.phases[1]: must lie in (0, 1]"),
+    ("inf-horizon", {"horizon": math.inf}, "horizon: must be finite"),
+    ("inf-tolerances.tol_time", {"tolerances": {"tol_time": math.inf}},
+     "tolerances.tol_time: must be finite"),
+    ("nan-tolerances.tol_phase", {"tolerances": {"tol_phase": math.nan}},
+     "tolerances.tol_phase: must be finite"),
+    ("nan-tolerances.cluster_tol", {"tolerances": {"cluster_tol": math.nan}},
+     "tolerances.cluster_tol: must be finite"),
+    ("nan-returnmap.theta", _returnmap(theta=math.nan), "returnmap.theta: must be finite"),
+    ("range-n-small", {"n": 1}, "n must be >= 2, got 1"),
+    ("range-n-large", {"n": MAX_N + 1}, f"n: must be <= {MAX_N}"),
+    ("range-epsilon", {"epsilon": -0.001}, "epsilon must be >= 0, got -0.001"),
+    ("range-curve.family", {"curve": {"family": "linear", "i": 1.05}},
+     "curve: unknown curve family 'linear'; known: ['ms_exponential']"),
+    ("range-curve.i", {"curve": {"family": "ms_exponential", "i": 0.5}},
+     "curve: curve parameter i must be > 1, got 0.5"),
+    ("range-tolerances.tol_phase", {"tolerances": {"tol_phase": 1e-3}},
+     "tolerances: tol_phase must lie in [0, 1e-3), got 0.001"),
+    ("range-seed", {"seed": -1}, "seed: must be >= 0"),
+    ("range-init.low", {"init": {"mode": "uniform", "low": -0.5}}, "init.low: must be >= 0"),
+    ("range-init.high", {"init": {"mode": "uniform", "high": 1.5}}, "init.high: must be <= 1"),
+    ("range-init.low-high", {"init": {"mode": "uniform", "low": 0.5, "high": 0.5}},
+     "init.low: must be < init.high"),
+    ("range-init.phases-count", {"n": 3, "init": _EXPLICIT},
+     "init.phases: expected 3 entries, got 2"),
+    ("range-init.phases[0]", {"n": 2, "init": {"mode": "explicit", "phases": [0.0, 0.5]}},
+     "init.phases[0]: must lie in (0, 1]"),
+    ("range-horizon", {"horizon": -1.0}, "horizon: must be > 0"),
+    ("range-horizon-and-strobe", {"strobe": {"ref": 0, "frames": 1}},
+     "exactly one of 'horizon' or 'strobe' is required"),
+    ("range-strobe.ref-low", {"horizon": None, "strobe": {"ref": -1, "frames": 1}},
+     "strobe.ref: must lie in [0, 100)"),
+    ("range-strobe.ref-high", {"horizon": None, "strobe": {"ref": 100, "frames": 1}},
+     "strobe.ref: must lie in [0, 100)"),
+    ("range-trials", {"trials": 0}, "trials: must be >= 1"),
+    ("range-trials-explicit", {"n": 2, "init": _EXPLICIT, "trials": 2},
+     "trials: explicit init cannot vary across trials; use uniform"),
+    ("range-returnmap.theta", _returnmap(theta=-0.1), "returnmap.theta: must lie in [0, 1)"),
+    ("range-returnmap.q", _returnmap(p=100, q=0), "returnmap.p: clique sizes must be >= 1"),
+    ("range-returnmap.p+q", _returnmap(q=49), "returnmap.p: p + q must equal n = 100"),
+    *[(f"oversized-{field}", overrides, OVERSIZED_TEXT[field]) for field, overrides in OVERSIZED],
+    *[(f"rejected-{field}", overrides, REJECTED_TEXT[field]) for field, overrides in REJECTED],
+]
+
+# Every section's keys, the top level under "".
+SCHEMA_KEYS = {
+    "": ("n", "epsilon", "tau", "curve", "seed", "init", "horizon", "strobe",
+         "tolerances", "output", "strict", "trials", "returnmap"),
+    "curve": ("family", "i"),
+    "init": ("mode", "low", "high", "phases"),
+    "strobe": ("ref", "frames"),
+    "tolerances": ("tol_time", "tol_phase", "cluster_tol"),
+    "output": ("format", "path"),
+    "returnmap": ("theta", "p", "q", "steps", "oracle_every"),
+}
+
+# Valid configs that together hold every section and both init modes.
+VALID_CONFIGS = [
+    base_config(),
+    base_config(
+        n=2, init=_EXPLICIT, horizon=None, strobe={"ref": 1, "frames": 3},
+        output={"format": "svg", "path": "out.svg"}, strict=True,
+    ),
+    base_config(
+        n=4, returnmap={"theta": 0.2, "p": 1, "q": 3, "steps": 5, "oracle_every": 2},
+        tolerances={"tol_time": 1e-10, "tol_phase": 0.0, "cluster_tol": 1e-3}, trials=3,
+    ),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.integers(-2, 101)
+    | st.floats() | st.text("az.", max_size=3)
+    | st.sampled_from(["uniform", "explicit", "ms_exponential", "csv", "svg"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS[""]), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A valid config with one to three fields deleted or set to any JSON value."""
+    cfg = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sorted(SCHEMA_KEYS)))
+        target = cfg.setdefault(section, {}) if section else cfg
+        if isinstance(target, dict):
+            key = draw(st.sampled_from(SCHEMA_KEYS[section]))
+            if draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = draw(JSON_VALUES)
+    return cfg
+
+
+class TestConfigMessages:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [case[1:] for case in ONE_ERROR],
+        ids=[case[0] for case in ONE_ERROR],
+    )
+    def test_one_error_gives_its_whole_message(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse(base_config(**overrides))
+        assert str(info.value) == message
+
+    def test_valid_configs_parse(self):
+        for cfg in VALID_CONFIGS:
+            assert isinstance(parse(cfg), pc.RunConfig)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(fuzzed_configs())
+    def test_any_config_parses_or_raises_config_error(self, cfg):
+        # Never another exception, whatever the values.
+        try:
+            assert isinstance(parse(cfg), pc.RunConfig)
+        except ConfigError:
+            pass
 
 
 class TestValidateCommand:

@@ -937,6 +937,27 @@ class TestStepReport:
             "StepReport(event_time=0.0, arrival_sources=(), fired=(1, 2))"
         )
 
+    def test_reports_built_from_lists_tuples_and_the_kernel_agree(self, headline_params):
+        reports = list(pc.NetworkState(headline_params, pc.sample_phases(7, 100)).run(3.0))
+        audit = pc.audit_run(reports, headline_params)  # before any tuple is cached
+        as_lists = [
+            pc.StepReport(r.event_time, r._arrival_sources.tolist(), r._fired.tolist())
+            for r in reports
+        ]
+        as_tuples = [
+            pc.StepReport(r.event_time, tuple(r._arrival_sources.tolist()),
+                          tuple(r._fired.tolist()))
+            for r in reports
+        ]
+        assert pc.audit_run(as_lists, headline_params) == audit
+        assert pc.audit_run(as_tuples, headline_params) == audit
+        assert as_lists == as_tuples == reports
+        assert [repr(r) for r in as_lists] == [repr(r) for r in reports]
+        assert len({*as_lists, *as_tuples, *reports}) == len(reports)
+        rep = pc.StepReport(0.5, [1], range(2, 4))
+        assert (rep.arrival_sources, rep.fired) == ((1,), (2, 3))
+        assert rep == pc.StepReport(0.5, (1,), (2, 3))
+
     def test_reports_are_read_only(self):
         rep = pc.NetworkState(make_params(), [0.5, 1.0]).step()
         for name in ("event_time", "arrival_sources", "fired", "other"):
