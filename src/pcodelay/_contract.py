@@ -42,7 +42,7 @@ def check_groups(g) -> None:
 
     # Int handles into the initial runs and read-only arrays, together each
     # oscillator exactly once.
-    count = g._bounds.shape[0] - 1
+    count = len(g._bounds) - 1
     _require(
         all(0 <= m < count for m in members if type(m) is int),
         "an int handle is out of range",

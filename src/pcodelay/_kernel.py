@@ -40,20 +40,21 @@ top is the front group's phase and t_next the earlier of its threshold
 crossing and the first arrival; drift(t) moves the clock, spread() is the
 largest minus the smallest phase in O(1), and check() asserts the contract
 below in O(n log n + G + P), called by no event.  step_once is the whole
-event, one function with the state in locals: it delivers the volley due to
-the group its sources still form, found as many places from the back as
-volleys were queued after it (each firing queues one group at the back and
-one volley at the end), reads the front group's phase once, resets that
-group at threshold and queues its volley.  The rare cases are helpers out of
-line, so that the usual event pays for none of their loops and lists: several
-volleys due at one instant, a source group reordered since it fired or
-sources that are not one whole group (injected pulses, duplicates, a group
-that fired again within the delay), a group moved back past its neighbour,
-and several groups at threshold at once.  An event costs O(groups
-touched), independent of n: a group moved back swaps places with each group
-it passes, and a volley whose group has since moved one place ahead finds it
-there before any search.  Each deque index still walks O(P/64) blocks, P the
-volleys in flight.
+event, one function with the state in locals, its guards included: it
+delivers the volley due to the group its sources still form, found as many
+places from the back as volleys were queued after it (each firing queues one
+group at the back and one volley at the end), reads the front group's phase
+once, resets that group at threshold, with any group behind it that is also
+at threshold, and queues their volley.  Every other arrival goes to one
+helper out of line, _deliver, so that the usual event pays for none of its
+loops and lists: several volleys due at one instant, a source group
+reordered since it fired, or sources that are not one whole group (injected
+pulses, duplicates, a group that fired again within the delay), which _split
+divides.  _move takes a group back past its neighbours.  An event costs
+O(groups touched), independent of n: a group moved back swaps places with
+each group it passes, and a volley whose group has since moved one place
+ahead finds it there before any search.  Each deque index still walks
+O(P/64) blocks, P the volleys in flight.
 
 Contract:
   - phases read through phase() and phases() lie in [0, 1]; a group reset
@@ -74,6 +75,7 @@ Contract:
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 
@@ -124,9 +126,11 @@ class Groups:
         self.n, self.a = n, a
         self.s_max = math.log(_ALPHA_MIN) / a
         self.now = self.epoch = self.gamma = 0.0
+        bounds = np.concatenate(([0], cuts, [n]), dtype=np.int64)
         self._order = _read_only(order)
-        self._bounds = np.concatenate(([0], cuts, [n]))
-        self.w = deque(ranked[self._bounds[:-1]].tolist())
+        # Python ints on each read, 8 bytes per entry kept.
+        self._bounds = array("q", bounds.tobytes())
+        self.w = deque(ranked[bounds[:-1]].tolist())
         self.members = deque(range(count))
         self.last = deque([-math.inf]) * count
         # Volleys (arrival_time, read-only int64 sources, link), in arrival order.
@@ -169,7 +173,8 @@ class Groups:
 
     def _initial(self, j: int) -> np.ndarray:
         """The members of initial group j."""
-        return self._order[self._bounds[j]:self._bounds[j + 1]]
+        bounds = self._bounds
+        return self._order[bounds[j]:bounds[j + 1]]
 
     def _arrays(self) -> list[np.ndarray]:
         """Every group's member array, back to front."""
@@ -186,11 +191,8 @@ class Groups:
         return _read_only(out)
 
     def spread(self) -> float:
-        """The largest minus the smallest phase: top minus the back group's
-        phase, bit-equal to top - phase(0)."""
-        if self.last[0] == self.now:
-            return self.top  # the back group reset at this instant: phase 0.0
-        return self.top - self._phase(self.w[0])
+        """The largest minus the smallest phase: top minus the back group's."""
+        return self.top - self.phase(0)
 
     def pulses(self) -> tuple[np.ndarray, np.ndarray]:
         """The pulses in flight as (arrival times, sources), in queue order."""
@@ -257,25 +259,23 @@ class Groups:
             i -= 1
         ws[i], members[i], last[i] = w, m, t
 
-    def _absorb_many(self, volley: tuple, limit: float, d: float) -> np.ndarray:
-        """Pop the volleys due by limit after volley, already popped, deliver
-        all of them (d is the pulse in this frame) and return their sources."""
+    def _deliver(self, volley: tuple, limit: float, d: float) -> np.ndarray:
+        """Deliver volley, already popped, and the volleys due by limit after
+        it, d being the pulse in this frame: lower gamma, move each source
+        group found by w back and split the groups of other sources.  Returns
+        the sources of every pulse consumed, in queue order."""
         pending = self.pending
         volleys = [volley]
         while pending and pending[0][0] <= limit:
             volleys.append(pending.popleft())
-        arrived = _read_only(np.concatenate([v[1] for v in volleys]))
-        if d != 0.0:
-            self.gamma -= len(arrived) * d
-            self._deliver(volleys, d)
-        return arrived
-
-    def _deliver(self, volleys, d: float) -> None:
-        """Own-pulse corrections for volleys, gamma already lowered: a source
-        group found by w moves back, other sources split their groups."""
+        sources = [v[1] for v in volleys]
+        arrived = sources[0] if len(sources) == 1 else _read_only(np.concatenate(sources))
+        if d == 0.0:
+            return arrived
+        self.gamma -= len(arrived) * d
         ws, members, a = self.w, self.members, self.a
         loose = ()
-        place = len(self.pending) + len(volleys)
+        place = len(pending) + len(volleys)
         for _, src, link in volleys:
             # The source group sits where the queue left it, or one place
             # ahead if a group moved back past it; otherwise search by w.
@@ -299,6 +299,7 @@ class Groups:
                 self._move(i, w)
         if loose:
             self._split(np.concatenate(loose), d)
+        return arrived
 
     def _split(self, sources: np.ndarray, d: float) -> None:
         """Own-pulse corrections for sources that are not one whole group:
@@ -325,22 +326,6 @@ class Groups:
             members.insert(j, m)
             last.insert(j, t)
 
-    def _merge(self, fired: np.ndarray, latest: float) -> tuple:
-        """Pop the groups at threshold into fired, popped before them, last
-        fired at latest; return all firers, their latest last firing and top."""
-        ws, members, last, now = self.w, self.members, self.last, self.now
-        arrays = [fired]
-        while True:
-            ws.pop()
-            m, t = members.pop(), last.pop()
-            arrays.append(self._initial(m) if type(m) is int else m)
-            latest = max(latest, t)
-            top = 0.0 if not ws or last[-1] == now else self._phase(ws[-1])
-            if top < self.threshold:
-                merged = np.concatenate(arrays)
-                merged.sort()
-                return _read_only(merged), latest, top
-
 
 def step_once(groups, t_event):
     """Advance to t_event and process the event there.
@@ -348,9 +333,13 @@ def step_once(groups, t_event):
     Delivers the volleys due, then fires the front group if t_event is its
     crossing as t_next predicts it, even if rounding of the clock left it
     short of 1 - tol_phase, or if its phase, read once after the arrivals as
-    _phase reads it, is at threshold.  Returns (arrived, fired): the sources
-    of every pulse consumed, in queue order, and the oscillators reset; both
-    are empty only when t_event is neither a crossing nor an arrival.
+    _phase reads it, is at threshold; every further group at threshold fires
+    with it.  Returns (arrived, fired): the sources of every pulse consumed,
+    in queue order, and the oscillators reset.
+
+    Raises RuntimeError, with the state untouched, if t_event precedes now;
+    and, with the clock at t_event and top and t_next set, if t_event is
+    neither a crossing nor an arrival, so that nothing is consumed or fired.
     """
     if t_event < groups.now:
         raise RuntimeError("event time moved backwards; queue state is corrupt")
@@ -364,23 +353,21 @@ def step_once(groups, t_event):
     arrived, limit = _NONE, t_event + groups.tol_time
     if pending and pending[0][0] <= limit:
         volley = pending.popleft()
+        _, arrived, link = volley
         d = groups.pulse / alpha  # 0.0 exactly when epsilon is
-        if pending and pending[0][0] <= limit:
-            arrived = groups._absorb_many(volley, limit, d)
-            gamma = groups.gamma
+        i = len(pending)  # the source group's place in the queue
+        if (d != 0.0 and not (pending and pending[0][0] <= limit)
+                and i < len(ws) and ws[i] == link and members[i] is arrived):
+            # One volley, and its sources are the group at that place.
+            groups.gamma = gamma = gamma - len(arrived) * d
+            w = math.log(math.exp(a * link) + d) / a
+            if i == 0 or ws[i - 1] <= w:
+                ws[i] = w  # still in order: the usual case
+            else:
+                groups._move(i, w)
         else:
-            _, arrived, link = volley
-            if d != 0.0:
-                groups.gamma = gamma = gamma - len(arrived) * d
-                i = len(pending)  # the source group's place in the queue
-                if i < len(ws) and ws[i] == link and members[i] is arrived:
-                    w = math.log(math.exp(a * link) + d) / a
-                    if i == 0 or ws[i - 1] <= w:
-                        ws[i] = w  # still in order: the usual case
-                    else:
-                        groups._move(i, w)
-                else:
-                    groups._deliver((volley,), d)
+            arrived = groups._deliver(volley, limit, d)
+            gamma = groups.gamma
     if not crossing:
         if last[-1] == t_event:  # top = phase(-1)
             top = 0.0
@@ -394,20 +381,33 @@ def step_once(groups, t_event):
             groups.top = top
             t = t_event + (1.0 - top)
             groups.t_next = pending[0][0] if pending and pending[0][0] < t else t
+            if arrived is _NONE:  # no volley was due either
+                raise RuntimeError(
+                    f"event at t={t_event!r} consumed no pulse and fired nobody; "
+                    "it is neither an arrival nor a threshold crossing"
+                )
             return arrived, _NONE
     ws.pop()
     m, latest = members.pop(), last.pop()
     fired = groups._initial(m) if type(m) is int else m
-    if not ws or last[-1] == t_event:  # once all have fired, the reset group leads
-        top = 0.0
-    elif gamma == 0.0:
-        top = s + ws[-1]
-    else:
-        x = math.exp(a * ws[-1]) + gamma
-        top = s + math.log(x) / a if x > 0.0 else 1.0
-    top = 0.0 if top <= 0.0 else (1.0 if top > 1.0 else top)
-    if top >= groups.threshold:
-        fired, latest, top = groups._merge(fired, latest)
+    merged = ()  # the member arrays of every group behind it at threshold
+    while True:
+        if not ws or last[-1] == t_event:  # once all have fired, the reset group leads
+            top = 0.0
+        elif gamma == 0.0:
+            top = s + ws[-1]
+        else:
+            x = math.exp(a * ws[-1]) + gamma
+            top = s + math.log(x) / a if x > 0.0 else 1.0
+        top = 0.0 if top <= 0.0 else (1.0 if top > 1.0 else top)
+        if top < groups.threshold:
+            break
+        ws.pop()
+        m, t = members.pop(), last.pop()
+        merged += (groups._initial(m) if type(m) is int else m,)
+        latest = max(latest, t)
+    if merged:
+        fired = _read_only(np.sort(np.concatenate((fired, *merged))))
     groups.top = top
     # u = 1: v = 1 / alpha - gamma, written so that gamma == 0 gives -s.
     w = math.log1p(-alpha * gamma) / a - s

@@ -325,22 +325,18 @@ def audit_run(
         if len(violations) < _VIOLATIONS_KEPT:
             violations.append(template.format(*args))
 
-    # Each report's fields as stored: the kernel's arrays are listed once
-    # here, without building the tuples the properties would cache.
+    # Each report's stored arrays, listed once here without the tuples the
+    # properties would build.
     for rep in reports:
         events += 1
         t = rep._event_time
-        sources = rep._arrival_sources
-        if type(sources) is not tuple:
-            sources = sources.tolist()
+        sources = rep._arrival_sources.tolist()
         for s in sources:
             pend[s] -= 1
             if pend[s] < 0:
                 violate("pulse from {} consumed at t={} was never scheduled", s, t)
                 pend[s] = 0
-        fired = rep._fired
-        if type(fired) is not tuple:
-            fired = fired.tolist()
+        fired = rep._fired.tolist()
         if not fired:
             continue
         arrived = set(sources) if sources else ()  # built only for firers

@@ -286,10 +286,11 @@ def parse_config(text: str) -> RunConfig:
     output = _fields(top["output"], "output", _OUTPUT)
     returnmap = _fields(top["returnmap"], "returnmap", _RETURNMAP)
     if returnmap is not None:
-        if returnmap["p"] < 1 or returnmap["q"] < 1:
-            raise ConfigError("returnmap.p: clique sizes must be >= 1")
+        for name in ("p", "q"):
+            if returnmap[name] < 1:
+                raise ConfigError(f"returnmap.{name}: clique sizes must be >= 1")
         if returnmap["p"] + returnmap["q"] != n:
-            raise ConfigError(f"returnmap.p: p + q must equal n = {n}")
+            raise ConfigError(f"returnmap.q: p + q must equal n = {n}")
         # + 0.0 turns -0.0 into 0.0, which is the same merged state.
         returnmap = ReturnMapSpec(**{**returnmap, "theta": returnmap["theta"] + 0.0})
 

@@ -20,10 +20,10 @@ the command-line layer turns into byte-identical output files.
 
 The state is one _kernel.Groups: the clock, the oscillators as groups of
 equal phase, the pulses in flight and the rule that picks the next event.
-This module validates what comes from outside and builds the reports.  The
-state keeps no firing history; a caller that needs one reads it off the
-StepReports, which hold the kernel's read-only arrays and build their tuples
-only when first read.
+This module validates what comes from outside and builds the reports; the
+kernel processes each event whole, its guards included.  The state keeps no
+firing history; a caller that needs one reads it off the StepReports, which
+hold the kernel's read-only arrays and build a tuple on each read.
 
 run(horizon) is the one stepping loop, a lazy generator of step()'s
 reports up to the horizon; callers stop it early or stream it into audit_run.
@@ -79,6 +79,15 @@ class PendingSpike(NamedTuple):
     source: int
 
 
+def _ids(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
+    """values as a read-only int64 array; TypeError unless they are integers
+    that int64 holds."""
+    ids = np.asarray(values)
+    if ids.ndim != 1 or ids.size and not np.can_cast(ids.dtype, np.int64):
+        raise TypeError(f"{name} must be a sequence of integers, got {values!r}")
+    return _kernel._read_only(ids.astype(np.int64))
+
+
 class StepReport:
     """What one event did.
 
@@ -87,11 +96,12 @@ class StepReport:
     oscillators that reached threshold, in index order.  Each firer's
     outgoing pulse is due at exactly event_time + tau.
 
-    Both are tuples of ints, but step() hands over the kernel's read-only
-    int64 arrays and each tuple is built on first access, so a run whose
-    reports are never read builds none.  Reports are immutable and compare,
-    hash and print by (event_time, arrival_sources, fired), however they
-    were built.
+    Both are stored as read-only int64 arrays, the kernel's own for the
+    reports step() builds, and read as tuples of ints built on each access,
+    so a run whose reports are never read builds none.  The constructor
+    takes any sequence of integers and raises TypeError on any other value.
+    Reports are immutable and compare, hash and print by (event_time,
+    arrival_sources, fired).
     """
 
     __slots__ = ("_event_time", "_arrival_sources", "_fired")
@@ -102,14 +112,9 @@ class StepReport:
         arrival_sources: Sequence[int] | np.ndarray,
         fired: Sequence[int] | np.ndarray,
     ) -> None:
-        # Any other sequence is kept as a tuple, the form the readers expect.
-        if not isinstance(arrival_sources, np.ndarray):
-            arrival_sources = tuple(arrival_sources)
-        if not isinstance(fired, np.ndarray):
-            fired = tuple(fired)
         self._event_time = event_time
-        self._arrival_sources = arrival_sources
-        self._fired = fired
+        self._arrival_sources = _ids(arrival_sources, "arrival_sources")
+        self._fired = _ids(fired, "fired")
 
     @property
     def event_time(self) -> float:
@@ -117,17 +122,11 @@ class StepReport:
 
     @property
     def arrival_sources(self) -> tuple[int, ...]:
-        v = self._arrival_sources
-        if type(v) is not tuple:
-            v = self._arrival_sources = tuple(v.tolist())
-        return v
+        return tuple(self._arrival_sources.tolist())
 
     @property
     def fired(self) -> tuple[int, ...]:
-        v = self._fired
-        if type(v) is not tuple:
-            v = self._fired = tuple(v.tolist())
-        return v
+        return tuple(self._fired.tolist())
 
     def _key(self) -> tuple:
         return (self._event_time, self.arrival_sources, self.fired)
@@ -255,9 +254,10 @@ class NetworkState:
     def step(self) -> StepReport:
         """Advance to next_event_time() and process the event there.
 
-        Raises RuntimeError when the event consumes no pulse and fires
-        nobody: the time next_event_time() gave is then neither an arrival
-        nor a crossing, and stepping again would repeat the empty event.
+        _kernel.step_once raises RuntimeError when the event consumes no
+        pulse and fires nobody: the time next_event_time() gave is then
+        neither an arrival nor a crossing, and stepping again would repeat
+        the empty event.
 
         Observable on this path: next_event_time(), which a subclass may
         override; _kernel.step_once, looked up at each call so that a wrapper
@@ -265,12 +265,6 @@ class NetworkState:
         """
         t_event = self.next_event_time()
         arrived, fired = _kernel.step_once(self._groups, t_event)
-        # len(), not .shape[0], which builds a tuple on every event.
-        if not (len(fired) or len(arrived)):
-            raise RuntimeError(
-                f"event at t={t_event!r} consumed no pulse and fired nobody; "
-                "it is neither an arrival nor a threshold crossing"
-            )
         # object.__new__ and three slot stores skip the __init__ call (190
         # against 250 ns, timeit).  StepReport is looked up here, at call
         # time, so a subclass patched over it is built instead.

@@ -136,7 +136,7 @@ class TestParseConfig:
         cfg = base_config(
             n=10, returnmap={"theta": 0.3, "p": 5, "q": 6, "steps": 10}
         )
-        with pytest.raises(ConfigError, match=r"returnmap\.p"):
+        with pytest.raises(ConfigError, match=r"returnmap\.q"):
             parse(cfg)
 
     def test_load_config_missing_file(self, tmp_path):
@@ -392,8 +392,8 @@ ONE_ERROR = [
     ("range-trials-explicit", {"n": 2, "init": _EXPLICIT, "trials": 2},
      "trials: explicit init cannot vary across trials; use uniform"),
     ("range-returnmap.theta", _returnmap(theta=-0.1), "returnmap.theta: must lie in [0, 1)"),
-    ("range-returnmap.q", _returnmap(p=100, q=0), "returnmap.p: clique sizes must be >= 1"),
-    ("range-returnmap.p+q", _returnmap(q=49), "returnmap.p: p + q must equal n = 100"),
+    ("range-returnmap.q", _returnmap(p=100, q=0), "returnmap.q: clique sizes must be >= 1"),
+    ("range-returnmap.p+q", _returnmap(q=49), "returnmap.q: p + q must equal n = 100"),
     *[(f"oversized-{field}", overrides, OVERSIZED_TEXT[field]) for field, overrides in OVERSIZED],
     *[(f"rejected-{field}", overrides, REJECTED_TEXT[field]) for field, overrides in REJECTED],
 ]

@@ -466,6 +466,17 @@ class TestZeroProgressGuard:
             for _ in range(100):
                 net.step()
 
+    def test_kernel_raises_at_a_time_that_is_no_event(self, headline_params):
+        # The kernel guards the event itself: called directly, between two
+        # events, it raises and leaves a state that is consistent at that time.
+        net = pc.NetworkState(headline_params, pc.sample_phases(7, 100))
+        g = net._groups
+        t = 0.5 * g.t_next
+        with pytest.raises(RuntimeError, match="no pulse and fired nobody"):
+            _kernel.step_once(g, t)
+        assert g.now == t
+        g.check()
+
 
 def bits(x) -> str:
     return float(x).hex()
@@ -884,7 +895,7 @@ OUT_OF_LINE_RUNS = [
 
 
 def test_out_of_line_branches_match_the_reference(monkeypatch):
-    calls = dict.fromkeys(("_absorb_many", "_split", "_move", "_merge"), 0)
+    calls = dict.fromkeys(("_deliver", "_split", "_move"), 0)
     for name in calls:
         method = getattr(_kernel.Groups, name)
 
@@ -893,20 +904,34 @@ def test_out_of_line_branches_match_the_reference(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(_kernel.Groups, name, counted)
-    uncoupled_arrivals = 0
+
+    def before_step(g):
+        """The volleys due at the next event and each oscillator's group."""
+        due = sum(v[0] <= g.t_next + g.tol_time for v in g.pending)
+        owner = {i: k for k, m in enumerate(g._arrays()) for i in m.tolist()}
+        return due, owner
+
+    uncoupled_arrivals = volleys_at_once = groups_at_once = 0
     for params, phases, injected, horizon in OUT_OF_LINE_RUNS:
         net = pc.NetworkState(params, phases)
         net.inject_pending(injected)
         got = []
+        due, owner = before_step(net._groups)
         for r in net.run(horizon):
             net._groups.check()
             got.append((r.event_time, r.arrival_sources, r.fired))
+            volleys_at_once += due >= 2
+            # Delivery only splits groups, so firers from two groups that
+            # existed before the step mean two groups fired together.
+            groups_at_once += len({owner[i] for i in r.fired}) >= 2
+            due, owner = before_step(net._groups)
         want = list(reference_run(params, phases, horizon, injected))
         assert [g[1:] for g in got] == [w[1:] for w in want]
         assert np.abs(np.subtract([g[0] for g in got], [w[0] for w in want])).max() <= 1e-12
         if params.coupling.epsilon == 0.0:
             uncoupled_arrivals += sum(len(g[1]) > 0 for g in got)
     assert all(calls.values()), calls
+    assert volleys_at_once and groups_at_once, (volleys_at_once, groups_at_once)
     assert uncoupled_arrivals > 1
 
 
@@ -930,7 +955,10 @@ class TestStepReport:
             assert hash(rep) == hash(ref)
             assert repr(rep) == repr(ref)
             assert type(rep.fired) is tuple and type(rep.arrival_sources) is tuple
-            assert rep.fired is rep.fired  # built once, then kept
+            assert rep.fired == ref.fired and rep.arrival_sources == ref.arrival_sources
+            for stored in (rep._fired, rep._arrival_sources, ref._fired, ref._arrival_sources):
+                assert type(stored) is np.ndarray and stored.dtype == np.int64
+                assert not stored.flags.writeable
         assert first != second
         assert len({first, second, *built}) == 2
         assert repr(built[0]) == (
@@ -939,7 +967,7 @@ class TestStepReport:
 
     def test_reports_built_from_lists_tuples_and_the_kernel_agree(self, headline_params):
         reports = list(pc.NetworkState(headline_params, pc.sample_phases(7, 100)).run(3.0))
-        audit = pc.audit_run(reports, headline_params)  # before any tuple is cached
+        audit = pc.audit_run(reports, headline_params)  # before any tuple is built
         as_lists = [
             pc.StepReport(r.event_time, r._arrival_sources.tolist(), r._fired.tolist())
             for r in reports
@@ -957,6 +985,12 @@ class TestStepReport:
         rep = pc.StepReport(0.5, [1], range(2, 4))
         assert (rep.arrival_sources, rep.fired) == ((1,), (2, 3))
         assert rep == pc.StepReport(0.5, (1,), (2, 3))
+
+    @pytest.mark.parametrize("sources, fired", [([1.5], ()), ((), [2.0]), (["1"], ()),
+                                                ([[1]], ()), (3, ()), ([2**63], ())])
+    def test_non_integer_ids_raise_instead_of_being_truncated(self, sources, fired):
+        with pytest.raises(TypeError, match="must be a sequence of integers"):
+            pc.StepReport(0.5, sources, fired)
 
     def test_reports_are_read_only(self):
         rep = pc.NetworkState(make_params(), [0.5, 1.0]).step()
