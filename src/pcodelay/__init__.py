@@ -14,7 +14,10 @@ layer loads on first use, the first time one of its names, `analysis` itself,
 `__all__` or `dir(pcodelay)` is asked for; a run that only simulates never
 compiles it. After that load the package is a plain module: its names are
 ordinary bindings that no later lookup rewrites. `from pcodelay import *`
-binds every name of every layer.
+binds every name of every layer. The records (CurveSpec, ModelParams,
+RunConfig, the analysis results, ...) are plain classes on one base,
+curves._Record, that check their fields in __init__; nothing here imports
+dataclasses.
 
 Each event is one function, _kernel.step_once: oscillators of equal phase
 form groups in an affine frame, so an event costs O(groups touched), not

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .curves import (
     CouplingParams,
     CurveSpec,
     _index,
+    _Record,
     bind_jump,
     f_eval,
     f_inv,
@@ -74,13 +74,14 @@ class InfeasibleScenarioError(ValueError):
 # synchrony
 
 
-@dataclass(frozen=True)
-class SyncVerdict:
+class SyncVerdict(_Record):
     """Outcome of the complete-synchronization test at one instant."""
 
-    synchronized: bool
-    phase_spread: float
-    pipeline_mismatch: bool
+    def __init__(self, synchronized: bool, phase_spread: float, pipeline_mismatch: bool) -> None:
+        self.__dict__.update(
+            synchronized=synchronized, phase_spread=phase_spread,
+            pipeline_mismatch=pipeline_mismatch,
+        )
 
 
 def phase_spread(state: NetworkState) -> float:
@@ -136,8 +137,7 @@ def is_completely_synchronized(state: NetworkState) -> SyncVerdict:
 # clusters
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
+class ClusterPartition(_Record):
     """Finest grouping by equal phase and equal pending-pulse multiset.
 
     clusters are tuples of oscillator indices (ascending), ordered by each
@@ -146,8 +146,10 @@ class ClusterPartition:
     members are linked when adjacent (in sorted order) within tolerance.
     """
 
-    clusters: tuple[tuple[int, ...], ...]
-    representative_phases: tuple[float, ...]
+    def __init__(
+        self, clusters: tuple[tuple[int, ...], ...], representative_phases: tuple[float, ...]
+    ) -> None:
+        self.__dict__.update(clusters=clusters, representative_phases=representative_phases)
 
     @property
     def n_clusters(self) -> int:
@@ -224,8 +226,7 @@ def stable_cluster_count(counts: Sequence[int], window: int = 50) -> int | None:
 # stroboscopic sampling
 
 
-@dataclass(frozen=True, eq=False)
-class StroboscopicFrame:
+class StroboscopicFrame(_Record):
     """Phases sampled at the k-th firing of the reference oscillator.
 
     phases holds the post-event values with every oscillator that fired in
@@ -234,9 +235,11 @@ class StroboscopicFrame:
     exactly equal entries.
     """
 
-    k: int
-    t: float
-    phases: np.ndarray
+    # By identity, as phases is an array.
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, k: int, t: float, phases: np.ndarray) -> None:
+        self.__dict__.update(k=k, t=t, phases=phases)
 
 
 def stroboscopic_run(
@@ -268,8 +271,7 @@ def stroboscopic_run(
 _VIOLATIONS_KEPT = 20  # the messages an audit keeps, as many as `audit` prints
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Record):
     """Structural guarantees checked over a run's reports.
 
     gap_bound_ok: every oscillator's consecutive firings are separated by
@@ -283,12 +285,20 @@ class AuditReport:
     events: the number of reports checked.
     """
 
-    min_interfire_gap: float
-    gap_bound_ok: bool
-    max_pending_per_source: int
-    pending_ok: bool
-    violations: tuple[str, ...] = ()
-    events: int = 0
+    def __init__(
+        self,
+        min_interfire_gap: float,
+        gap_bound_ok: bool,
+        max_pending_per_source: int,
+        pending_ok: bool,
+        violations: tuple[str, ...] = (),
+        events: int = 0,
+    ) -> None:
+        self.__dict__.update(
+            min_interfire_gap=min_interfire_gap, gap_bound_ok=gap_bound_ok,
+            max_pending_per_source=max_pending_per_source, pending_ok=pending_ok,
+            violations=violations, events=events,
+        )
 
     @property
     def ok(self) -> bool:
@@ -371,8 +381,7 @@ def audit_run(
 # two-clique return map
 
 
-@dataclass(frozen=True)
-class TwoCliqueState:
+class TwoCliqueState(_Record):
     """Gap coordinates for a network of two internally synchronized cliques.
 
     q oscillators sit at phase 1 (about to fire), p at phase 1 - theta
@@ -380,15 +389,12 @@ class TwoCliqueState:
     network.
     """
 
-    theta: float
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"clique sizes must be >= 1, got ({self.p}, {self.q})")
+    def __init__(self, theta: float, p: int, q: int) -> None:
+        if not 0.0 <= theta < 1.0:
+            raise ValueError(f"theta must lie in [0, 1), got {theta}")
+        if p < 1 or q < 1:
+            raise ValueError(f"clique sizes must be >= 1, got ({p}, {q})")
+        self.__dict__.update(theta=theta, p=p, q=q)
 
 
 def _clique_sizes(p, q, curve: CurveSpec, coupling: CouplingParams) -> tuple[int, int]:
@@ -664,15 +670,22 @@ def _run_to_sync(state: NetworkState, horizon: float) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class DesyncSummary:
+class DesyncSummary(_Record):
     """Aggregate outcome of repeated randomized runs."""
 
-    trials: int
-    sync_detected_count: int
-    min_final_spread: float
-    median_final_spread: float
-    cluster_count_histogram: dict[int, int]
+    def __init__(
+        self,
+        trials: int,
+        sync_detected_count: int,
+        min_final_spread: float,
+        median_final_spread: float,
+        cluster_count_histogram: dict[int, int],
+    ) -> None:
+        self.__dict__.update(
+            trials=trials, sync_detected_count=sync_detected_count,
+            min_final_spread=min_final_spread, median_final_spread=median_final_spread,
+            cluster_count_histogram=cluster_count_histogram,
+        )
 
 
 def desync_trial(

@@ -19,7 +19,6 @@ an identical config and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -175,7 +174,7 @@ def cmd_simulate(args) -> int:
     if cfg.horizon is None:
         raise ConfigError("simulate requires 'horizon' in the config")
     if args.trials is not None:
-        cfg = dataclasses.replace(cfg, trials=args.trials)
+        cfg = cfg._replace(trials=args.trials)
 
     if cfg.trials > 1:
         summary = desync_trial(

@@ -39,11 +39,10 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CouplingParams, CurveSpec
+from .curves import CouplingParams, CurveSpec, _Record
 from .engine import ModelParams
 from .rng import sample_phases
 
@@ -63,62 +62,58 @@ class ConfigError(ValueError):
     """Malformed run configuration; the message names the field."""
 
 
-@dataclass(frozen=True)
-class UniformInit:
-    low: float
-    high: float
+class UniformInit(_Record):
+    def __init__(self, low: float, high: float) -> None:
+        self.__dict__.update(low=low, high=high)
 
 
-@dataclass(frozen=True)
-class ExplicitInit:
-    phases: tuple[float, ...]
+class ExplicitInit(_Record):
+    def __init__(self, phases: tuple[float, ...]) -> None:
+        self.__dict__["phases"] = phases
 
 
-@dataclass(frozen=True)
-class StrobeSpec:
-    ref: int
-    frames: int
+class StrobeSpec(_Record):
+    def __init__(self, ref: int, frames: int) -> None:
+        self.__dict__.update(ref=ref, frames=frames)
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    format: str
-    path: str | None
+class OutputSpec(_Record):
+    def __init__(self, format: str, path: str | None) -> None:
+        self.__dict__.update(format=format, path=path)
 
 
-@dataclass(frozen=True)
-class ReturnMapSpec:
-    theta: float
-    p: int
-    q: int
-    steps: int
-    oracle_every: int
+class ReturnMapSpec(_Record):
+    def __init__(self, theta: float, p: int, q: int, steps: int, oracle_every: int) -> None:
+        self.__dict__.update(theta=theta, p=p, q=q, steps=steps, oracle_every=oracle_every)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Validated run description; see the module docstring for the schema."""
 
-    params: ModelParams
-    seed: int
-    init: UniformInit | ExplicitInit
-    horizon: float | None
-    strobe: StrobeSpec | None
-    cluster_tol: float
-    strict: bool
-    trials: int
-    output: OutputSpec | None
-    returnmap: ReturnMapSpec | None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        params: ModelParams,
+        seed: int,
+        init: UniformInit | ExplicitInit,
+        horizon: float | None,
+        strobe: StrobeSpec | None,
+        cluster_tol: float,
+        strict: bool,
+        trials: int,
+        output: OutputSpec | None,
+        returnmap: ReturnMapSpec | None,
+    ) -> None:
         # Here, not in parse_config, so that a trial count set from the
-        # command line through dataclasses.replace meets the same rule.
-        if self.trials < 1:
+        # command line through _replace meets the same rule.
+        if trials < 1:
             raise ConfigError("trials: must be >= 1")
-        if self.trials > 1 and isinstance(self.init, ExplicitInit):
-            raise ConfigError(
-                "trials: explicit init cannot vary across trials; use uniform"
-            )
+        if trials > 1 and isinstance(init, ExplicitInit):
+            raise ConfigError("trials: explicit init cannot vary across trials; use uniform")
+        self.__dict__.update(
+            params=params, seed=seed, init=init, horizon=horizon, strobe=strobe,
+            cluster_tol=cluster_tol, strict=strict, trials=trials, output=output,
+            returnmap=returnmap,
+        )
 
     def initial_phases(self, trial: int = 0) -> np.ndarray:
         """Initial phases for one trial (explicit, or seeded uniform draws)."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
@@ -45,8 +44,41 @@ _DOMAIN_SLACK = 1e-12
 _FAMILY = "ms_exponential"
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record's __init__ checks its arguments and stores its fields in
+    self.__dict__, in the order of its parameters; nothing else writes
+    there.  Records of one class compare and hash by their field
+    values, and print as Name(field=value, ...); assignment and deletion
+    raise AttributeError.  _replace builds a changed copy through __init__,
+    so it meets the same checks; copy and pickle copy the fields as they are.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in self.__dict__.items()])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, checked as a new record is."""
+        return type(self)(**{**self.__dict__, **changes})
+
+
+class CurveSpec(_Record):
     """Parameters of one state curve.
 
     Attributes:
@@ -57,52 +89,39 @@ class CurveSpec:
             ``validate_assumptions`` will report.
     """
 
-    family: str = "ms_exponential"
-    i: float = 1.05
-
-    def __post_init__(self) -> None:
-        if self.family != _FAMILY:
-            raise ValueError(
-                f"unknown curve family {self.family!r}; "
-                f"known: {[_FAMILY]}"
-            )
-        if not (isinstance(self.i, numbers.Real) and math.isfinite(self.i)):
+    def __init__(self, family: str = "ms_exponential", i: float = 1.05) -> None:
+        if family != _FAMILY:
+            raise ValueError(f"unknown curve family {family!r}; known: {[_FAMILY]}")
+        if not (isinstance(i, numbers.Real) and math.isfinite(i)):
             raise ValueError("curve parameter i must be a finite number")
-        if not self.i > 1.0:
-            raise ValueError(f"curve parameter i must be > 1, got {self.i}")
-        object.__setattr__(self, "i", float(self.i))
+        if not i > 1.0:
+            raise ValueError(f"curve parameter i must be > 1, got {i}")
+        self.__dict__.update(family=family, i=float(i))
 
 
-@dataclass(frozen=True)
-class CouplingParams:
+class CouplingParams(_Record):
     """Network coupling parameters: size, pulse increment, transmission delay."""
 
-    n: int
-    epsilon: float
-    tau: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, epsilon: float, tau: float) -> None:
         # Any integer type (numpy's too) but a bool, stored as a plain int,
         # and epsilon and tau as floats: equality, repr and the run's
         # arithmetic do not depend on the caller's types.
-        if isinstance(self.n, bool):
+        if isinstance(n, bool):
             raise ValueError("n must be an integer")
         try:
-            object.__setattr__(self, "n", operator.index(self.n))
+            n = operator.index(n)
         except TypeError:
             raise ValueError("n must be an integer") from None
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "tau", float(self.tau))
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        if not (math.isfinite(epsilon) and epsilon >= 0.0):
+            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"tau must be > 0, got {tau}")
+        self.__dict__.update(n=n, epsilon=float(epsilon), tau=float(tau))
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(_Record):
     """Result of the saturation check ``f(min(1, 2*tau)) + n*epsilon < 1``.
 
     ``a2_value`` is the left-hand side; ``a2_holds`` means it is below 1, i.e.
@@ -111,9 +130,8 @@ class AssumptionReport:
     ``1 - a2_value`` (negative when the check fails).
     """
 
-    a2_value: float
-    a2_holds: bool
-    margin: float
+    def __init__(self, a2_value: float, a2_holds: bool, margin: float) -> None:
+        self.__dict__.update(a2_value=a2_value, a2_holds=a2_holds, margin=margin)
 
 
 def _index(x: object, name: str, low: int = 0, high: int | None = None) -> int:

@@ -33,19 +33,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernel
-from .curves import CouplingParams, CurveSpec, _index, log_ratio
+from .curves import CouplingParams, CurveSpec, _index, _Record, log_ratio
 
 __all__ = ["ModelParams", "PendingSpike", "StepReport", "NetworkState"]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     """Everything that defines one network: curve, coupling, tolerances.
 
     tol_time groups events into one instant and must stay well under the
@@ -54,22 +52,24 @@ class ModelParams:
     are compared against 1 - tol_phase, never against 1 exactly.
     """
 
-    curve: CurveSpec
-    coupling: CouplingParams
-    tol_time: float = 1e-9
-    tol_phase: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tol_time < self.coupling.tau / 100.0):
+    def __init__(
+        self,
+        curve: CurveSpec,
+        coupling: CouplingParams,
+        tol_time: float = 1e-9,
+        tol_phase: float = 1e-12,
+    ) -> None:
+        if not (0.0 < tol_time < coupling.tau / 100.0):
             raise ValueError(
-                f"tol_time must lie in (0, tau/100) = (0, {self.coupling.tau / 100.0}), "
-                f"got {self.tol_time}"
+                f"tol_time must lie in (0, tau/100) = (0, {coupling.tau / 100.0}), "
+                f"got {tol_time}"
             )
-        if not (0.0 <= self.tol_phase < 1e-3):
-            raise ValueError(f"tol_phase must lie in [0, 1e-3), got {self.tol_phase}")
+        if not (0.0 <= tol_phase < 1e-3):
+            raise ValueError(f"tol_phase must lie in [0, 1e-3), got {tol_phase}")
         # Python floats, as CouplingParams stores epsilon and tau.
-        object.__setattr__(self, "tol_time", float(self.tol_time))
-        object.__setattr__(self, "tol_phase", float(self.tol_phase))
+        self.__dict__.update(
+            curve=curve, coupling=coupling, tol_time=float(tol_time), tol_phase=float(tol_phase)
+        )
 
 
 class PendingSpike(NamedTuple):

@@ -102,3 +102,44 @@ def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="kernel_in_use"):
         pc.kernel_in_use
     assert getattr(pc, "kernel_in_use", None) is None
+
+
+def test_setup_and_commands_run_without_dataclasses(src_on_pythonpath, tmp_path):
+    # The set-up before a run's first event (the benchmark's set-up calls)
+    # loads neither the dataclasses module nor the analysis layer, and no
+    # subcommand loads dataclasses.
+    run = {
+        "n": 10, "epsilon": 0.001, "tau": 0.1,
+        "curve": {"family": "ms_exponential", "i": 1.05},
+        "seed": 7, "init": {"mode": "uniform", "low": 0.0, "high": 1.0},
+    }
+    horizon, strobe, pair = (tmp_path / f"{name}.json" for name in ("horizon", "strobe", "pair"))
+    horizon.write_text(json.dumps({
+        **run, "horizon": 1.0,
+        "returnmap": {"theta": 0.05, "p": 5, "q": 5, "steps": 10, "oracle_every": 5},
+    }))
+    strobe.write_text(json.dumps({**run, "strobe": {"ref": 0, "frames": 3}}))
+    pair.write_text(json.dumps({**run, "n": 2, "horizon": 1.0}))
+    horizon, strobe, pair = str(horizon), str(strobe), str(pair)
+    commands = [
+        ["validate", horizon], ["simulate", horizon], ["simulate", horizon, "--trials", "2"],
+        ["strobe", strobe], ["audit", horizon], ["returnmap", horizon],
+        ["counterexample", pair],
+    ]
+    seen = fresh(
+        "import contextlib, io, json, sys\n"
+        "import pcodelay as pc\n"
+        f"cfg = pc.load_config({horizon!r})\n"
+        "pc.validate_assumptions(cfg.params.curve, cfg.params.coupling)\n"
+        "phases = pc.sample_phases(cfg.seed, cfg.params.coupling.n, cfg.init.low, cfg.init.high)\n"
+        "pc.NetworkState(cfg.params, phases)\n"
+        "seen = [sorted({'dataclasses', 'pcodelay.analysis'} & set(sys.modules))]\n"
+        "from pcodelay import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    seen.append([argv[0], code, 'dataclasses' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert seen == [[]] + [[argv[0], 0, False] for argv in commands]
