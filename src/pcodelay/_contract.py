@@ -6,7 +6,7 @@ of its own, imported on the first check, so that importing the kernel does
 not compile it.
 """
 
-import numpy as np
+from itertools import chain
 
 
 def _require(ok: bool, rule: str) -> None:
@@ -15,13 +15,12 @@ def _require(ok: bool, rule: str) -> None:
         raise AssertionError(rule)
 
 
-def _require_read_only_int64(arrays, what: str) -> None:
-    _require(
-        all(
-            type(a) is np.ndarray and a.dtype == np.int64 and not a.flags.writeable
-            for a in arrays
-        ),
-        f"{what} are not all read-only int64 arrays",
+def _ascending_ints(ids) -> bool:
+    """Whether ids is a tuple of Python ints in strictly ascending order."""
+    return (
+        type(ids) is tuple
+        and all(type(i) is int for i in ids)
+        and all(map(int.__lt__, ids, ids[1:]))
     )
 
 
@@ -40,16 +39,15 @@ def check_groups(g) -> None:
     )
     _require(all(map(float.__le__, ws, ws[1:])), "w decreases from back to front")
 
-    # Int handles into the initial runs and read-only arrays, together each
+    # Int handles into the initial runs and ascending tuples, together each
     # oscillator exactly once.
     count = len(g._bounds) - 1
     _require(
-        all(0 <= m < count for m in members if type(m) is int),
-        "an int handle is out of range",
+        all(0 <= m < count if type(m) is int else _ascending_ints(m) for m in members),
+        "a member handle is neither an int in range nor a tuple of ascending ints",
     )
-    _require_read_only_int64([m for m in members if type(m) is not int], "member arrays")
     _require(
-        sorted(np.concatenate(g._arrays()).tolist()) == list(range(g.n)),
+        sorted(chain.from_iterable(g._runs())) == list(range(g.n)),
         "the members are not a permutation of range(n)",
     )
 
@@ -70,8 +68,11 @@ def check_groups(g) -> None:
             g.now - g.tol_time < times[0] and times[-1] <= g.now + g.tau,
             f"a volley is due outside (now - tol_time, now + tau] at now {g.now!r}",
         )
-        _require_read_only_int64(sources, "volley sources")
-        flat = np.concatenate(sources).tolist()
+        _require(
+            all(map(_ascending_ints, sources)),
+            "volley sources are not all tuples of ascending ints",
+        )
+        flat = list(chain.from_iterable(sources))
         _require(
             not flat or 0 <= min(flat) and max(flat) < g.n,
             "a volley source is out of range",

@@ -25,14 +25,16 @@ epoch moves to now.
 Oscillators that share w bit for bit form a group.  Groups are kept in three
 parallel deques ordered by ascending w: index -1 is the front (the highest
 phase, next to fire) and index 0 the back.  Each group has its members, a
-read-only array or, for a group untouched since construction, its index
-into the runs of one sorted index array, and the time they last fired.
-Groups also owns the clock, the running minimum gap between two firings of
-one oscillator, the constants epsilon / I, tau, tol_time and 1 - tol_phase,
-and the queue: volleys (arrival_time, sources, link) in arrival order, one
-per firing event, read through pulses() and replaced through load().  link
-is the w the source group had when it was reset, or NaN (equal to no w,
-renormalized to NaN) for loaded pulses.  Every new volley is due at
+tuple of ints in ascending order or, for a group untouched since
+construction, its index into the runs of one sorted index array, and the
+time they last fired.  Groups also owns the clock, the running minimum gap
+between two firings of one oscillator, the constants epsilon / I, tau,
+tol_time and 1 - tol_phase, and the queue: volleys (arrival_time, sources,
+link) in arrival order, one per firing event, read through pulses() and
+replaced through load().  A volley's sources are the fired group's own
+tuple, so no event calls numpy and a report stores what step_once returns.
+link is the w the source group had when it was reset, or NaN (equal to no
+w, renormalized to NaN) for loaded pulses.  Every new volley is due at
 event_time + tau, no earlier than any pending one, so the queue stays sorted
 without sorting.
 
@@ -69,7 +71,7 @@ Contract:
   - pulses() lists the pulses in flight with nondecreasing arrival times;
   - an oscillator never receives its own pulse (m_i = arrivals from others);
   - a receiver pushed to or past threshold fires in the same event;
-  - step_once returns read-only arrays, fired ascending.
+  - step_once returns tuples of ints, fired ascending.
 """
 
 from __future__ import annotations
@@ -78,20 +80,23 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
 # The arrivals or firers of an event that has none.
-_NONE = np.empty(0, dtype=np.int64)
-_NONE.flags.writeable = False
+_NONE = ()
 
 # The frame is renormalized before alpha = exp(a * s) drops below this.
 _ALPHA_MIN = 1e-3
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _int64s(a: np.ndarray) -> array:
+    """An int64 array as an array('q'): 8 bytes per entry, Python ints on
+    each read, copied once from a's buffer."""
+    out = array("q")
+    out.frombytes(memoryview(a).cast("B"))
+    return out
 
 
 class Groups:
@@ -100,7 +105,7 @@ class Groups:
     Built from validated phases in (0, 1] and the constants pulse = epsilon
     / I, tau, tol_time and threshold = 1 - tol_phase.  Initial group j has
     members entry j, which stays valid across renormalization: its members
-    are _order[_bounds[j]:_bounds[j + 1]].
+    are _order[_bounds[j]:_bounds[j + 1]], made a tuple when it first fires.
     """
 
     __slots__ = (
@@ -127,14 +132,19 @@ class Groups:
         self.s_max = math.log(_ALPHA_MIN) / a
         self.now = self.epoch = self.gamma = 0.0
         bounds = np.concatenate(([0], cuts, [n]), dtype=np.int64)
-        self._order = _read_only(order)
-        # Python ints on each read, 8 bytes per entry kept.
-        self._bounds = array("q", bounds.tobytes())
+        # Each numpy array goes once it is copied or read, before the next
+        # deque is built: at n = 10^6 every one still alive then adds 8 MB
+        # to the peak.
+        del cuts
+        self._order = _int64s(order)
+        del order
+        self._bounds = _int64s(bounds)
         self.w = deque(ranked[bounds[:-1]].tolist())
+        del ranked, bounds
         self.members = deque(range(count))
         self.last = deque([-math.inf]) * count
-        # Volleys (arrival_time, read-only int64 sources, link), in arrival order.
-        self.pending: deque[tuple[float, np.ndarray, float]] = deque()
+        # Volleys (arrival_time, sources, link), in arrival order.
+        self.pending: deque[tuple[float, tuple[int, ...], float]] = deque()
         self.pulse, self.tau = pulse, tau
         self.tol_time, self.threshold = tol_time, threshold
         self.min_gap = math.inf
@@ -171,24 +181,39 @@ class Groups:
             return 0.0  # reset at this instant
         return self._phase(self.w[i])
 
-    def _initial(self, j: int) -> np.ndarray:
+    def _initial(self, j: int) -> tuple[int, ...]:
         """The members of initial group j."""
         bounds = self._bounds
-        return self._order[bounds[j]:bounds[j + 1]]
+        lo, hi = bounds[j], bounds[j + 1]
+        # A group of one, as sampled phases give, skips the slice (170
+        # against 320 ns at n = 10^4, timeit).
+        return (self._order[lo],) if hi - lo == 1 else tuple(self._order[lo:hi])
 
-    def _arrays(self) -> list[np.ndarray]:
-        """Every group's member array, back to front."""
-        return [self._initial(m) if type(m) is int else m for m in self.members]
+    def _runs(self) -> list:
+        """Every group's members, back to front: its tuple or, for an initial
+        group, its run of _order, ascending either way."""
+        order, bounds = self._order, self._bounds
+        return [
+            order[bounds[m]:bounds[m + 1]] if type(m) is int else m for m in self.members
+        ]
 
-    def phases(self) -> np.ndarray:
-        """All n phases, materialized from the groups; read-only."""
-        arrays = self._arrays()
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every oscillator, back group to front, and its phase: the
+        oscillators in nondecreasing phase."""
+        runs = self._runs()
         values = [
             0.0 if t == self.now else self._phase(w) for w, t in zip(self.w, self.last)
         ]
+        oscillators = np.fromiter(chain.from_iterable(runs), np.int64, self.n)
+        return oscillators, np.repeat(values, [len(m) for m in runs])
+
+    def phases(self) -> np.ndarray:
+        """All n phases, materialized from the groups; read-only."""
+        oscillators, ranked = self.ranked()
         out = np.empty(self.n)
-        out[np.concatenate(arrays)] = np.repeat(values, [a.shape[0] for a in arrays])
-        return _read_only(out)
+        out[oscillators] = ranked
+        out.flags.writeable = False
+        return out
 
     def spread(self) -> float:
         """The largest minus the smallest phase: top minus the back group's."""
@@ -197,8 +222,9 @@ class Groups:
     def pulses(self) -> tuple[np.ndarray, np.ndarray]:
         """The pulses in flight as (arrival times, sources), in queue order."""
         volleys = self.pending
-        times = np.repeat([v[0] for v in volleys], [v[1].shape[0] for v in volleys])
-        return times, np.concatenate([_NONE, *(v[1] for v in volleys)])
+        times = np.repeat([v[0] for v in volleys], [len(v[1]) for v in volleys])
+        sources = chain.from_iterable(v[1] for v in volleys)
+        return times, np.fromiter(sources, np.int64, times.shape[0])
 
     def check(self) -> None:
         """Raise AssertionError naming the first contract rule the state breaks.
@@ -243,10 +269,7 @@ class Groups:
     def load(self, pulses: list) -> None:
         """Replace the queue with one unlinked single-source volley per
         (arrival_time, source) pair, in the given order."""
-        self.pending = deque(
-            (float(t), _read_only(np.array([s], dtype=np.int64)), math.nan)
-            for t, s in pulses
-        )
+        self.pending = deque((float(t), (int(s),), math.nan) for t, s in pulses)
         self._set_t_next()
 
     def _move(self, i: int, w: float) -> None:
@@ -259,7 +282,7 @@ class Groups:
             i -= 1
         ws[i], members[i], last[i] = w, m, t
 
-    def _deliver(self, volley: tuple, limit: float, d: float) -> np.ndarray:
+    def _deliver(self, volley: tuple, limit: float, d: float) -> tuple[int, ...]:
         """Deliver volley, already popped, and the volleys due by limit after
         it, d being the pulse in this frame: lower gamma, move each source
         group found by w back and split the groups of other sources.  Returns
@@ -268,8 +291,9 @@ class Groups:
         volleys = [volley]
         while pending and pending[0][0] <= limit:
             volleys.append(pending.popleft())
-        sources = [v[1] for v in volleys]
-        arrived = sources[0] if len(sources) == 1 else _read_only(np.concatenate(sources))
+        arrived = volley[1]
+        if len(volleys) > 1:
+            arrived = tuple(chain.from_iterable(v[1] for v in volleys))
         if d == 0.0:
             return arrived
         self.gamma -= len(arrived) * d
@@ -298,27 +322,25 @@ class Groups:
             else:
                 self._move(i, w)
         if loose:
-            self._split(np.concatenate(loose), d)
+            self._split(chain.from_iterable(loose), d)
         return arrived
 
-    def _split(self, sources: np.ndarray, d: float) -> None:
+    def _split(self, sources, d: float) -> None:
         """Own-pulse corrections for sources that are not one whole group:
         each group holding some splits by own-pulse count, senders moving back."""
-        counts = np.bincount(sources, minlength=self.n)
-        arrays = self._arrays()
-        owner = np.empty(self.n, dtype=np.int64)
-        owner[np.concatenate(arrays)] = np.repeat(
-            np.arange(len(arrays)), [m.shape[0] for m in arrays]
-        )
+        counts: dict[int, int] = {}
+        for s in sources:
+            counts[s] = counts.get(s, 0) + 1
         a = self.a
         ws, members, last = self.w, self.members, self.last
+        runs = self._runs()
         parts = []
-        for i in reversed(np.unique(owner[np.flatnonzero(counts)]).tolist()):
-            w, m, t = ws[i], arrays[i], last[i]
+        for i in reversed([i for i, m in enumerate(runs) if not counts.keys().isdisjoint(m)]):
+            w, m, t = ws[i], runs[i], last[i]
             del ws[i], members[i], last[i]
-            own = counts[m]
-            for c in np.unique(own).tolist():
-                part = _read_only(m[own == c])
+            own = [counts.get(x, 0) for x in m]
+            for c in sorted(set(own)):
+                part = tuple(x for x, k in zip(m, own) if k == c)
                 parts.append((math.log(math.exp(a * w) + c * d) / a if c else w, part, t))
         for w, m, t in parts:
             j = bisect_right(ws, w)  # after the groups with equal w
@@ -390,7 +412,7 @@ def step_once(groups, t_event):
     ws.pop()
     m, latest = members.pop(), last.pop()
     fired = groups._initial(m) if type(m) is int else m
-    merged = ()  # the member arrays of every group behind it at threshold
+    merged = None  # with the members of every group behind it at threshold
     while True:
         if not ws or last[-1] == t_event:  # once all have fired, the reset group leads
             top = 0.0
@@ -404,10 +426,13 @@ def step_once(groups, t_event):
             break
         ws.pop()
         m, t = members.pop(), last.pop()
-        merged += (groups._initial(m) if type(m) is int else m,)
+        if merged is None:
+            merged = list(fired)
+        merged += groups._initial(m) if type(m) is int else m
         latest = max(latest, t)
-    if merged:
-        fired = _read_only(np.sort(np.concatenate((fired, *merged))))
+    if merged is not None:
+        merged.sort()  # merges the ascending runs in linear time
+        fired = tuple(merged)
     groups.top = top
     # u = 1: v = 1 / alpha - gamma, written so that gamma == 0 gives -s.
     w = math.log1p(-alpha * gamma) / a - s

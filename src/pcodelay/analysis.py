@@ -181,12 +181,11 @@ def cluster_partition(
         tol_phase = state.params.tol_phase
     if not tol_phase >= 0.0:
         raise ValueError(f"tol_phase must be >= 0, got {tol_phase}")
-    phases = state.phases
-    by_phase = np.concatenate(state._groups._arrays())
+    by_phase, ranked = state._groups.ranked()
+    phases = np.empty(state.n)
+    phases[by_phase] = ranked
     label = np.empty(state.n, dtype=np.int64)
-    label[by_phase] = np.concatenate(
-        ([0], np.cumsum(np.diff(phases[by_phase]) > tol_phase))
-    )
+    label[by_phase] = np.concatenate(([0], np.cumsum(np.diff(ranked) > tol_phase)))
     sources, counts, due = _in_flight(state)
     run = label[sources]
     # lexsort's last key is the primary one.
@@ -200,16 +199,18 @@ def cluster_partition(
     # From n on, no source label equals a run label.
     label[sources[order]] = state.n + np.concatenate(([0], np.cumsum(split)))
 
-    # Order the clusters by their smallest member, members ascending.
-    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
-    lead = first[inverse]
-    members = np.argsort(lead, kind="stable")
-    cuts = (np.flatnonzero(np.diff(lead[members])) + 1).tolist()
+    # One stable sort lists each cluster's members ascending; the clusters
+    # are then ordered by their smallest member, the first of each.
+    members = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[members])) + 1
+    starts, ends = np.concatenate(([0], cuts)), np.concatenate((cuts, [state.n]))
+    rank = np.argsort(members[starts])
+    starts, ends = starts[rank], ends[rank]
+    reps = tuple(phases[members[starts]].tolist())
     members = members.tolist()
     clusters = tuple(
-        tuple(members[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, state.n])
+        tuple(members[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())
     )
-    reps = tuple(phases[np.sort(first)].tolist())
     return ClusterPartition(clusters=clusters, representative_phases=reps)
 
 
@@ -317,8 +318,10 @@ def audit_run(
     pulses; its sources are checked as inject_pending checks them
     (ValueError unless an integer in [0, n)).  reports is consumed once, in
     order, so a generator that steps the network streams the audit in O(n)
-    memory, as only the kept violations are formatted.  Interfiring gaps are
-    taken from each firer's previous firing time in the reports.
+    memory, as only the kept violations are formatted.  Each report's
+    sources and firers are read as the tuples of ints it stores, so the
+    audit converts nothing per event.  Interfiring gaps are taken from each
+    firer's previous firing time in the reports.
     """
     tau = params.coupling.tau
     n = params.coupling.n
@@ -335,18 +338,17 @@ def audit_run(
         if len(violations) < _VIOLATIONS_KEPT:
             violations.append(template.format(*args))
 
-    # Each report's stored arrays, listed once here without the tuples the
-    # properties would build.
+    # Each report's stored tuples, read without the property calls.
     for rep in reports:
         events += 1
         t = rep._event_time
-        sources = rep._arrival_sources.tolist()
+        sources = rep._arrival_sources
         for s in sources:
             pend[s] -= 1
             if pend[s] < 0:
                 violate("pulse from {} consumed at t={} was never scheduled", s, t)
                 pend[s] = 0
-        fired = rep._fired.tolist()
+        fired = rep._fired
         if not fired:
             continue
         arrived = set(sources) if sources else ()  # built only for firers

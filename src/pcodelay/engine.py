@@ -23,7 +23,8 @@ equal phase, the pulses in flight and the rule that picks the next event.
 This module validates what comes from outside and builds the reports; the
 kernel processes each event whole, its guards included.  The state keeps no
 firing history; a caller that needs one reads it off the StepReports, which
-hold the kernel's read-only arrays and build a tuple on each read.
+hold the kernel's tuples of ints, a fired group's members and its volley's
+sources, so no event builds or converts an array and nothing is built on read.
 
 run(horizon) is the one stepping loop, a lazy generator of step()'s
 reports up to the horizon; callers stop it early or stream it into audit_run.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -79,13 +81,16 @@ class PendingSpike(NamedTuple):
     source: int
 
 
-def _ids(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
-    """values as a read-only int64 array; TypeError unless they are integers
+def _ids(values: Sequence[int] | np.ndarray, name: str) -> tuple[int, ...]:
+    """values as a tuple of Python ints; TypeError unless they are integers
     that int64 holds."""
-    ids = np.asarray(values)
-    if ids.ndim != 1 or ids.size and not np.can_cast(ids.dtype, np.int64):
+    try:
+        ids = tuple(map(operator.index, values))
+    except TypeError:
+        ids = None
+    if ids is None or ids and not (-(2**63) <= min(ids) and max(ids) < 2**63):
         raise TypeError(f"{name} must be a sequence of integers, got {values!r}")
-    return _kernel._read_only(ids.astype(np.int64))
+    return ids
 
 
 class StepReport:
@@ -96,12 +101,11 @@ class StepReport:
     oscillators that reached threshold, in index order.  Each firer's
     outgoing pulse is due at exactly event_time + tau.
 
-    Both are stored as read-only int64 arrays, the kernel's own for the
-    reports step() builds, and read as tuples of ints built on each access,
-    so a run whose reports are never read builds none.  The constructor
-    takes any sequence of integers and raises TypeError on any other value.
-    Reports are immutable and compare, hash and print by (event_time,
-    arrival_sources, fired).
+    Both are stored as tuples of Python ints, the kernel's own for the
+    reports step() builds, and read as stored: no access, comparison or hash
+    builds or converts them.  The constructor takes any sequence of integers
+    and raises TypeError on any other value.  Reports are immutable and
+    compare, hash and print by (event_time, arrival_sources, fired).
     """
 
     __slots__ = ("_event_time", "_arrival_sources", "_fired")
@@ -122,27 +126,28 @@ class StepReport:
 
     @property
     def arrival_sources(self) -> tuple[int, ...]:
-        return tuple(self._arrival_sources.tolist())
+        return self._arrival_sources
 
     @property
     def fired(self) -> tuple[int, ...]:
-        return tuple(self._fired.tolist())
-
-    def _key(self) -> tuple:
-        return (self._event_time, self.arrival_sources, self.fired)
+        return self._fired
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self._event_time == other._event_time
+            and self._arrival_sources == other._arrival_sources
+            and self._fired == other._fired
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self._event_time, self._arrival_sources, self._fired))
 
     def __repr__(self) -> str:
         return (
             f"StepReport(event_time={self._event_time!r}, "
-            f"arrival_sources={self.arrival_sources!r}, fired={self.fired!r})"
+            f"arrival_sources={self._arrival_sources!r}, fired={self._fired!r})"
         )
 
 
@@ -237,7 +242,7 @@ class NetworkState:
     def copy(self) -> "NetworkState":
         """Independent copy; stepping one state never affects the other.
 
-        The two share their read-only member and volley arrays.
+        The two share their member and volley tuples, which nothing changes.
         """
         dup = object.__new__(NetworkState)
         dup.params = self.params

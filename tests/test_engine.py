@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from array import array
 from bisect import bisect_right
 from collections import deque
 
@@ -580,18 +581,26 @@ class TestCachedTop:
         self.assert_top(net)
 
 
+def ascending_ints(ids):
+    """Whether ids is a tuple of Python ints in strictly ascending order."""
+    return type(ids) is tuple and all(type(i) is int for i in ids) and all(
+        a < b for a, b in zip(ids, ids[1:])
+    )
+
+
 def assert_groups(net):
     """The grouped state is well formed and agrees with the phases view."""
     groups = net._groups
     ws = list(groups.w)
     assert ws == sorted(ws)
-    members = groups._arrays()
+    # Every stored handle is an initial group's index or an immutable tuple.
+    assert all(type(m) is int or ascending_ints(m) for m in groups.members)
+    members = [list(m) for m in groups._runs()]
     assert len(members) == len(ws) == len(groups.last)
-    assert sorted(np.concatenate(members).tolist()) == list(range(net.n))
+    assert sorted(itertools.chain.from_iterable(members)) == list(range(net.n))
     phases = net.phases
     for m in members:
-        assert not m.flags.writeable
-        assert m.tolist() == sorted(m.tolist())
+        assert m == sorted(m)
         assert np.all(phases[m] == phases[m[0]])
     return len(ws)
 
@@ -607,17 +616,21 @@ class TestGroups:
 
     def test_initial_groups_hold_no_arrays(self):
         # Construction and renormalization keep an initial group's members
-        # as its index, so setting up a large network builds no array per group.
+        # as its index, so setting up a large network builds no tuple per
+        # group; the sorted order behind those indices keeps 8 bytes each.
         n = 10_000
         net = pc.NetworkState(make_params(n=n, epsilon=0.1 / n), pc.sample_phases(7, n))
         members = net._groups.members
         assert len(members) == n
-        assert not any(isinstance(m, np.ndarray) for m in members)
+        assert all(type(m) is int for m in members)
+        order = net._groups._order
+        assert type(order) is array and order.itemsize == 8 and len(order) == n
         net._groups.renormalize()
-        assert not any(isinstance(m, np.ndarray) for m in net._groups.members)
-        net.step()  # the front oscillator fires alone
-        arrays = [m for m in net._groups.members if isinstance(m, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0] is net._groups.pending[0][1]
+        assert all(type(m) is int for m in net._groups.members)
+        rep = net.step()  # the front oscillator fires alone
+        built = [m for m in net._groups.members if type(m) is not int]
+        assert len(built) == 1 and ascending_ints(built[0])
+        assert built[0] is net._groups.pending[0][1] is rep.fired
 
     def test_saturated_refire_splits_groups(self):
         # The saturation check fails, so groups fire again while their own
@@ -651,11 +664,11 @@ class TestGroups:
         for rep in net.run(30.0):
             reports.append(rep)
             net._groups.check()
-            if rep._fired.shape[0]:
+            if rep.fired:
                 due, sources, _ = net._groups.pending[-1]
                 assert due == rep.event_time + tau
-                assert sources is net._groups.members[0] and sources is rep._fired
-        assert any(r._fired.shape[0] for r in reports)
+                assert sources is net._groups.members[0] and sources is rep.fired
+        assert any(r.fired for r in reports)
         gap = pc.audit_run(reports, params).min_interfire_gap
         assert net.min_interfire_gap == gap and math.isfinite(gap)
 
@@ -749,6 +762,81 @@ class TestGroups:
         assert_groups(net)
 
 
+class _NoNumpy:
+    """Stands in for numpy in a module: any use raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on the event path")
+
+
+def collapse_params(n=1000):
+    return make_params(n=n, epsilon=0.1 / n, tau=0.1)
+
+
+class TestTupleMembers:
+    """Members, volley sources and reports are tuples of ints, so an event
+    calls no numpy, and a merge builds one ascending tuple shared by the
+    group, its volley and the report."""
+
+    @pytest.mark.parametrize("n, events", [(100, 1492), (1000, 12703)])
+    def test_no_event_calls_numpy(self, monkeypatch, n, events):
+        params = collapse_params(n)
+        net = pc.NetworkState(params, pc.sample_phases(7, n))
+        groups = net._groups
+        merges = 0
+
+        def counted(reports):
+            nonlocal merges
+            before = len(groups.members)
+            for rep in reports:
+                # Without a split, k groups firing together leave k - 1 fewer.
+                after = len(groups.members)
+                merges += after < before
+                before = after
+                yield rep
+
+        for module in (_kernel, pc.engine, pc.analysis):
+            monkeypatch.setattr(module, "np", _NoNumpy())
+        audit = pc.audit_run(counted(net.run(100.0)), params)
+        monkeypatch.undo()
+        assert audit.ok and audit.events == events
+        if n == 1000:
+            assert merges > 0
+
+    def test_a_merge_is_one_ascending_tuple_shared_by_group_volley_and_report(self):
+        net = pc.NetworkState(collapse_params(), pc.sample_phases(7, 1000))
+        g = net._groups
+        merges, largest = 0, 0
+        while net.next_event_time() <= 100.0:
+            before = list(g.members)
+            rep = net.step()
+            if not rep.fired:
+                continue
+            # The groups that fired are the front k, k - 1 fewer after the step.
+            k = len(before) - len(g.members) + 1
+            fired = [g._initial(m) if type(m) is int else m for m in before[-k:]]
+            assert rep.fired == tuple(sorted(itertools.chain.from_iterable(fired)))
+            assert ascending_ints(rep.fired)
+            assert rep.fired is g.members[0] is g.pending[-1][1]
+            if k == 1 and type(before[-1]) is tuple:
+                assert rep.fired is before[-1]  # a group firing alone keeps its tuple
+            if k > 1:
+                merges += 1
+                largest = max(largest, len(rep.fired))
+        g.check()
+        assert merges > 100 and largest >= 100, (merges, largest)
+
+    def test_injected_duplicates_split_into_ascending_tuples(self):
+        net = pc.NetworkState(make_params(n=6), [0.3, 0.3, 0.3, 0.8, 0.8, 0.8])
+        net.inject_pending([(0.05, 1), (0.05, 1), (0.05, 4)])
+        assert net.step().arrival_sources == (1, 1, 4)
+        members = list(net._groups.members)
+        assert all(ascending_ints(m) for m in members)
+        # Back to front: 0 and 2 took both pulses, 1 none; 3 and 5 one more than 4.
+        assert members == [(1,), (0, 2), (4,), (3, 5)]
+        net._groups.check()
+
+
 def _swap_w(g):
     assert g.w[0] < g.w[-1]
     g.w[0], g.w[-1] = g.w[-1], g.w[0]
@@ -763,9 +851,19 @@ def _volley_overdue(g):
     g.pending[0] = (g.now - 2.0 * g.tol_time, sources, link)
 
 
-def _writable_members(g):
+def _list_members(g):
     i = next(i for i, m in enumerate(g.members) if type(m) is not int)
-    g.members[i] = g.members[i].copy()
+    g.members[i] = list(g.members[i])
+
+
+def _descending_members(g):
+    i = next(i for i, m in enumerate(g.members) if type(m) is not int and len(m) > 1)
+    g.members[i] = g.members[i][::-1]
+
+
+def _array_sources(g):
+    t, sources, link = g.pending[0]
+    g.pending[0] = (t, np.array(sources), link)
 
 
 def _fired_later(g):
@@ -774,6 +872,9 @@ def _fired_later(g):
 
 def _stale_t_next(g):
     g.t_next += g.tol_time
+
+
+_HANDLE_RULE = "a member handle is neither an int in range nor a tuple of ascending ints"
 
 
 class TestKernelContract:
@@ -807,8 +908,11 @@ class TestKernelContract:
             pytest.param(_swap_w, "w decreases from back to front", id="w-order"),
             pytest.param(_lower_top, "is not phase(-1)", id="top"),
             pytest.param(_volley_overdue, "a volley is due outside", id="volley-time"),
+            pytest.param(_list_members, _HANDLE_RULE, id="members"),
+            pytest.param(_descending_members, _HANDLE_RULE, id="members-descending"),
             pytest.param(
-                _writable_members, "member arrays are not all read-only", id="members"
+                _array_sources, "volley sources are not all tuples of ascending ints",
+                id="volley-sources",
             ),
             pytest.param(_fired_later, "a group last fired after now", id="last"),
             pytest.param(_stale_t_next, "is not the earlier of now + (1 - top)", id="t-next"),
@@ -908,7 +1012,7 @@ def test_out_of_line_branches_match_the_reference(monkeypatch):
     def before_step(g):
         """The volleys due at the next event and each oscillator's group."""
         due = sum(v[0] <= g.t_next + g.tol_time for v in g.pending)
-        owner = {i: k for k, m in enumerate(g._arrays()) for i in m.tolist()}
+        owner = {i: k for k, m in enumerate(g._runs()) for i in m}
         return due, owner
 
     uncoupled_arrivals = volleys_at_once = groups_at_once = 0
@@ -943,9 +1047,6 @@ class TestStepReport:
         # Three volleys at once, in queue order: the injected single-source
         # ones, then the live one; the kernel concatenates them.
         assert len(second._arrival_sources) == 4
-        for rep in (first, second):
-            assert not rep._arrival_sources.flags.writeable
-            assert not rep._fired.flags.writeable
         built = (
             pc.StepReport(event_time=0.0, arrival_sources=(), fired=(1, 2)),
             pc.StepReport(event_time=0.1, arrival_sources=(0, 3, 1, 2), fired=()),
@@ -956,9 +1057,11 @@ class TestStepReport:
             assert repr(rep) == repr(ref)
             assert type(rep.fired) is tuple and type(rep.arrival_sources) is tuple
             assert rep.fired == ref.fired and rep.arrival_sources == ref.arrival_sources
+            # The properties hand out the stored tuples themselves.
+            for r in (rep, ref):
+                assert r.fired is r._fired and r.arrival_sources is r._arrival_sources
             for stored in (rep._fired, rep._arrival_sources, ref._fired, ref._arrival_sources):
-                assert type(stored) is np.ndarray and stored.dtype == np.int64
-                assert not stored.flags.writeable
+                assert type(stored) is tuple and all(type(i) is int for i in stored)
         assert first != second
         assert len({first, second, *built}) == 2
         assert repr(built[0]) == (
@@ -967,27 +1070,37 @@ class TestStepReport:
 
     def test_reports_built_from_lists_tuples_and_the_kernel_agree(self, headline_params):
         reports = list(pc.NetworkState(headline_params, pc.sample_phases(7, 100)).run(3.0))
-        audit = pc.audit_run(reports, headline_params)  # before any tuple is built
+        audit = pc.audit_run(reports, headline_params)
         as_lists = [
-            pc.StepReport(r.event_time, r._arrival_sources.tolist(), r._fired.tolist())
+            pc.StepReport(r.event_time, list(r.arrival_sources), list(r.fired))
             for r in reports
         ]
         as_tuples = [
-            pc.StepReport(r.event_time, tuple(r._arrival_sources.tolist()),
-                          tuple(r._fired.tolist()))
+            pc.StepReport(r.event_time, tuple(r.arrival_sources), tuple(r.fired))
             for r in reports
         ]
-        assert pc.audit_run(as_lists, headline_params) == audit
-        assert pc.audit_run(as_tuples, headline_params) == audit
-        assert as_lists == as_tuples == reports
-        assert [repr(r) for r in as_lists] == [repr(r) for r in reports]
-        assert len({*as_lists, *as_tuples, *reports}) == len(reports)
+        as_int32 = [
+            pc.StepReport(r.event_time, np.array(r.arrival_sources, dtype=np.int32),
+                          np.array(r.fired, dtype=np.int32))
+            for r in reports
+        ]
+        for built in (as_lists, as_tuples, as_int32):
+            for r in built:
+                for stored in (r._arrival_sources, r._fired):
+                    assert type(stored) is tuple and all(type(i) is int for i in stored)
+            assert pc.audit_run(built, headline_params) == audit
+            assert built == reports
+            assert [hash(r) for r in built] == [hash(r) for r in reports]
+            assert [repr(r) for r in built] == [repr(r) for r in reports]
+        assert len({*as_lists, *as_tuples, *as_int32, *reports}) == len(reports)
         rep = pc.StepReport(0.5, [1], range(2, 4))
         assert (rep.arrival_sources, rep.fired) == ((1,), (2, 3))
         assert rep == pc.StepReport(0.5, (1,), (2, 3))
 
     @pytest.mark.parametrize("sources, fired", [([1.5], ()), ((), [2.0]), (["1"], ()),
-                                                ([[1]], ()), (3, ()), ([2**63], ())])
+                                                ([[1]], ()), (3, ()), ([2**63], ()),
+                                                ([-(2**63) - 1], ()), (np.array([1.0]), ()),
+                                                ((), np.array([[1]])), (np.array(1), ())])
     def test_non_integer_ids_raise_instead_of_being_truncated(self, sources, fired):
         with pytest.raises(TypeError, match="must be a sequence of integers"):
             pc.StepReport(0.5, sources, fired)
