@@ -3,7 +3,9 @@
 check_groups(g) is Groups.check(): it reads the state through its fields and
 raises AssertionError naming the first rule it finds broken.  It is a module
 of its own, imported on the first check, so that importing the kernel does
-not compile it.
+not compile it.  A group's members and a volley's sources have one form,
+a tuple of Python ints in strictly ascending order; any other handle, an
+int or a list, breaks the contract.
 """
 
 from itertools import chain
@@ -39,15 +41,12 @@ def check_groups(g) -> None:
     )
     _require(all(map(float.__le__, ws, ws[1:])), "w decreases from back to front")
 
-    # Int handles into the initial runs and ascending tuples, together each
-    # oscillator exactly once.
-    count = len(g._bounds) - 1
+    # Ascending tuples, together each oscillator exactly once.
     _require(
-        all(0 <= m < count if type(m) is int else _ascending_ints(m) for m in members),
-        "a member handle is neither an int in range nor a tuple of ascending ints",
+        all(map(_ascending_ints, members)), "a member handle is not a tuple of ascending ints"
     )
     _require(
-        sorted(chain.from_iterable(g._runs())) == list(range(g.n)),
+        sorted(chain.from_iterable(members)) == list(range(g.n)),
         "the members are not a permutation of range(n)",
     )
 

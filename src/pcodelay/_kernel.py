@@ -25,16 +25,15 @@ epoch moves to now.
 Oscillators that share w bit for bit form a group.  Groups are kept in three
 parallel deques ordered by ascending w: index -1 is the front (the highest
 phase, next to fire) and index 0 the back.  Each group has its members, a
-tuple of ints in ascending order or, for a group untouched since
-construction, its index into the runs of one sorted index array, and the
-time they last fired.  Groups also owns the clock, the running minimum gap
-between two firings of one oscillator, the constants epsilon / I, tau,
-tol_time and 1 - tol_phase, and the queue: volleys (arrival_time, sources,
-link) in arrival order, one per firing event, read through pulses() and
-replaced through load().  A volley's sources are the fired group's own
-tuple, so no event calls numpy and a report stores what step_once returns.
-link is the w the source group had when it was reset, or NaN (equal to no
-w, renormalized to NaN) for loaded pulses.  Every new volley is due at
+tuple of ints in ascending order from construction on, and the time they
+last fired.  Groups also owns the clock, the running minimum gap between
+two firings of one oscillator, the constants epsilon / I, tau, tol_time and
+1 - tol_phase, and the queue: volleys (arrival_time, sources, link) in
+arrival order, one per firing event, read through pulses() and replaced
+through load().  A volley's sources are the fired group's own tuple, so no
+event calls numpy and a report stores what step_once returns.  link is the
+w the source group had when it was reset, or NaN (equal to no w,
+renormalized to NaN) for loaded pulses.  Every new volley is due at
 event_time + tau, no earlier than any pending one, so the queue stays sorted
 without sorting.
 
@@ -77,7 +76,6 @@ Contract:
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain
@@ -91,27 +89,20 @@ _NONE = ()
 _ALPHA_MIN = 1e-3
 
 
-def _int64s(a: np.ndarray) -> array:
-    """An int64 array as an array('q'): 8 bytes per entry, Python ints on
-    each read, copied once from a's buffer."""
-    out = array("q")
-    out.frombytes(memoryview(a).cast("B"))
-    return out
-
-
 class Groups:
     """The clock, the affine frame, the groups of equal phase and the queue.
 
     Built from validated phases in (0, 1] and the constants pulse = epsilon
-    / I, tau, tol_time and threshold = 1 - tol_phase.  Initial group j has
-    members entry j, which stays valid across renormalization: its members
-    are _order[_bounds[j]:_bounds[j + 1]], made a tuple when it first fires.
+    / I, tau, tol_time and threshold = 1 - tol_phase.  Every group's members
+    are a tuple of Python ints in ascending order from construction on: a
+    1-tuple per distinct phase, or one slice of the stable order per run of
+    equal phases.
     """
 
     __slots__ = (
         "n", "a", "s_max", "now", "epoch", "gamma", "w", "members", "last",
-        "_order", "_bounds", "pending", "pulse", "tau", "tol_time", "threshold",
-        "min_gap", "top", "t_next",
+        "pending", "pulse", "tau", "tol_time", "threshold", "min_gap", "top",
+        "t_next",
     )
 
     def __init__(
@@ -121,27 +112,31 @@ class Groups:
         n = phases.shape[0]
         order = np.argsort(phases)
         ranked = phases[order]
-        cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-        count = cuts.shape[0] + 1
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        count = starts.shape[0]
         if count < n:
             # Equal phases: list each group's members in index order.  Sampled
             # phases are distinct and skip this slower stable sort (0.82 against
             # 0.17 ms at n = 10^4, 11.4 against 2.3 ms at n = 10^5, timeit).
-            order = np.argsort(phases, kind="stable")
+            order = np.argsort(phases, kind="stable").tolist()
+            bounds = starts.tolist() + [n]
+            members = [tuple(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        else:
+            members = list(zip(order.tolist()))
+        w = ranked[starts].tolist()
+        # Every array goes before the first deque is built, and each list once
+        # its deque is: deque blocks that malloc places above a large live
+        # buffer keep its freed pages resident.  At n = 10^6 (glibc) that left
+        # 24 MB of free heap after construction, against 8 MB this way, and a
+        # peak to t = 1 of 232 against 216 MB.
+        del order, ranked, starts
+        self.w = deque(w)
+        del w
+        self.members = deque(members)
+        del members
         self.n, self.a = n, a
         self.s_max = math.log(_ALPHA_MIN) / a
         self.now = self.epoch = self.gamma = 0.0
-        bounds = np.concatenate(([0], cuts, [n]), dtype=np.int64)
-        # Each numpy array goes once it is copied or read, before the next
-        # deque is built: at n = 10^6 every one still alive then adds 8 MB
-        # to the peak.
-        del cuts
-        self._order = _int64s(order)
-        del order
-        self._bounds = _int64s(bounds)
-        self.w = deque(ranked[bounds[:-1]].tolist())
-        del ranked, bounds
-        self.members = deque(range(count))
         self.last = deque([-math.inf]) * count
         # Volleys (arrival_time, sources, link), in arrival order.
         self.pending: deque[tuple[float, tuple[int, ...], float]] = deque()
@@ -181,31 +176,15 @@ class Groups:
             return 0.0  # reset at this instant
         return self._phase(self.w[i])
 
-    def _initial(self, j: int) -> tuple[int, ...]:
-        """The members of initial group j."""
-        bounds = self._bounds
-        lo, hi = bounds[j], bounds[j + 1]
-        # A group of one, as sampled phases give, skips the slice (170
-        # against 320 ns at n = 10^4, timeit).
-        return (self._order[lo],) if hi - lo == 1 else tuple(self._order[lo:hi])
-
-    def _runs(self) -> list:
-        """Every group's members, back to front: its tuple or, for an initial
-        group, its run of _order, ascending either way."""
-        order, bounds = self._order, self._bounds
-        return [
-            order[bounds[m]:bounds[m + 1]] if type(m) is int else m for m in self.members
-        ]
-
     def ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """Every oscillator, back group to front, and its phase: the
         oscillators in nondecreasing phase."""
-        runs = self._runs()
+        members = self.members
         values = [
             0.0 if t == self.now else self._phase(w) for w, t in zip(self.w, self.last)
         ]
-        oscillators = np.fromiter(chain.from_iterable(runs), np.int64, self.n)
-        return oscillators, np.repeat(values, [len(m) for m in runs])
+        oscillators = np.fromiter(chain.from_iterable(members), np.int64, self.n)
+        return oscillators, np.repeat(values, [len(m) for m in members])
 
     def phases(self) -> np.ndarray:
         """All n phases, materialized from the groups; read-only."""
@@ -333,10 +312,9 @@ class Groups:
             counts[s] = counts.get(s, 0) + 1
         a = self.a
         ws, members, last = self.w, self.members, self.last
-        runs = self._runs()
         parts = []
-        for i in reversed([i for i, m in enumerate(runs) if not counts.keys().isdisjoint(m)]):
-            w, m, t = ws[i], runs[i], last[i]
+        for i in reversed([i for i, m in enumerate(members) if not counts.keys().isdisjoint(m)]):
+            w, m, t = ws[i], members[i], last[i]
             del ws[i], members[i], last[i]
             own = [counts.get(x, 0) for x in m]
             for c in sorted(set(own)):
@@ -410,8 +388,7 @@ def step_once(groups, t_event):
                 )
             return arrived, _NONE
     ws.pop()
-    m, latest = members.pop(), last.pop()
-    fired = groups._initial(m) if type(m) is int else m
+    fired, latest = members.pop(), last.pop()
     merged = None  # with the members of every group behind it at threshold
     while True:
         if not ws or last[-1] == t_event:  # once all have fired, the reset group leads
@@ -428,7 +405,7 @@ def step_once(groups, t_event):
         m, t = members.pop(), last.pop()
         if merged is None:
             merged = list(fired)
-        merged += groups._initial(m) if type(m) is int else m
+        merged += m
         latest = max(latest, t)
     if merged is not None:
         merged.sort()  # merges the ascending runs in linear time

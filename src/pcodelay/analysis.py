@@ -649,7 +649,7 @@ def _run_to_sync(state: NetworkState, horizon: float) -> bool:
     The verdict is tested now and after every event; it cannot change
     between events (phases drift rigidly and nothing lands).  Returns True
     with the state at its first synchronized instant, or False with the
-    state drifted to the horizon.  The same test as _synchronized: the O(1)
+    state drifted to the horizon.  The test is _synchronized, where the O(1)
     phase spread gates the full check.
 
     The spread is gated in turn by the w-gap of the kernel's frame, which
@@ -663,11 +663,7 @@ def _run_to_sync(state: NetworkState, horizon: float) -> bool:
     gap = tol + 1e-9
     for _ in itertools.chain((None,), state.run(horizon)):  # now, then each event
         w = groups.w  # renormalize() replaces the deque
-        if (
-            w[-1] - w[0] <= gap
-            and groups.spread() <= tol
-            and is_completely_synchronized(state).synchronized
-        ):
+        if w[-1] - w[0] <= gap and _synchronized(state):
             return True
     return False
 

@@ -3,7 +3,6 @@
 import itertools
 import math
 import re
-from array import array
 from bisect import bisect_right
 from collections import deque
 
@@ -593,9 +592,9 @@ def assert_groups(net):
     groups = net._groups
     ws = list(groups.w)
     assert ws == sorted(ws)
-    # Every stored handle is an initial group's index or an immutable tuple.
-    assert all(type(m) is int or ascending_ints(m) for m in groups.members)
-    members = [list(m) for m in groups._runs()]
+    # Every stored handle is an immutable tuple.
+    assert all(ascending_ints(m) for m in groups.members)
+    members = [list(m) for m in groups.members]
     assert len(members) == len(ws) == len(groups.last)
     assert sorted(itertools.chain.from_iterable(members)) == list(range(net.n))
     phases = net.phases
@@ -614,23 +613,24 @@ class TestGroups:
         assert net.phases.tolist() == [0.3, 0.8, 0.3, 0.8, 0.3, 0.5]
         assert (net.top, net.bottom) == (0.8, 0.3)
 
-    def test_initial_groups_hold_no_arrays(self):
-        # Construction and renormalization keep an initial group's members
-        # as its index, so setting up a large network builds no tuple per
-        # group; the sorted order behind those indices keeps 8 bytes each.
+    def test_initial_groups_are_ascending_tuples(self):
+        # Construction builds every group's tuple, with distinct and with tied
+        # phases; renormalization keeps each by identity, and the first
+        # firing reports the very tuple built at construction.
         n = 10_000
-        net = pc.NetworkState(make_params(n=n, epsilon=0.1 / n), pc.sample_phases(7, n))
-        members = net._groups.members
-        assert len(members) == n
-        assert all(type(m) is int for m in members)
-        order = net._groups._order
-        assert type(order) is array and order.itemsize == 8 and len(order) == n
-        net._groups.renormalize()
-        assert all(type(m) is int for m in net._groups.members)
-        rep = net.step()  # the front oscillator fires alone
-        built = [m for m in net._groups.members if type(m) is not int]
-        assert len(built) == 1 and ascending_ints(built[0])
-        assert built[0] is net._groups.pending[0][1] is rep.fired
+        distinct = pc.NetworkState(make_params(n=n, epsilon=0.1 / n), pc.sample_phases(7, n))
+        tied = pc.NetworkState(make_params(n=6), [0.3, 0.8, 0.3, 0.8, 0.3, 0.5])
+        assert list(tied._groups.members) == [(0, 2, 4), (5,), (1, 3)]
+        for net in (distinct, tied):
+            g = net._groups
+            built = list(g.members)
+            assert all(ascending_ints(m) for m in built)
+            assert sorted(itertools.chain.from_iterable(built)) == list(range(net.n))
+            g.renormalize()
+            assert all(m is b for m, b in zip(g.members, built, strict=True))
+            rep = net.step()  # the front group fires alone
+            assert rep.fired is built[-1] is g.members[0] is g.pending[0][1]
+        assert len(built) == 3 and rep.fired == (1, 3)
 
     def test_saturated_refire_splits_groups(self):
         # The saturation check fails, so groups fire again while their own
@@ -814,11 +814,11 @@ class TestTupleMembers:
                 continue
             # The groups that fired are the front k, k - 1 fewer after the step.
             k = len(before) - len(g.members) + 1
-            fired = [g._initial(m) if type(m) is int else m for m in before[-k:]]
+            fired = before[-k:]
             assert rep.fired == tuple(sorted(itertools.chain.from_iterable(fired)))
             assert ascending_ints(rep.fired)
             assert rep.fired is g.members[0] is g.pending[-1][1]
-            if k == 1 and type(before[-1]) is tuple:
+            if k == 1:
                 assert rep.fired is before[-1]  # a group firing alone keeps its tuple
             if k > 1:
                 merges += 1
@@ -852,13 +852,17 @@ def _volley_overdue(g):
 
 
 def _list_members(g):
-    i = next(i for i, m in enumerate(g.members) if type(m) is not int)
-    g.members[i] = list(g.members[i])
+    g.members[0] = list(g.members[0])
 
 
 def _descending_members(g):
-    i = next(i for i, m in enumerate(g.members) if type(m) is not int and len(m) > 1)
+    i = next(i for i, m in enumerate(g.members) if len(m) > 1)
     g.members[i] = g.members[i][::-1]
+
+
+def _int_members(g):
+    i = next(i for i, m in enumerate(g.members) if len(m) == 1)
+    g.members[i] = g.members[i][0]
 
 
 def _array_sources(g):
@@ -874,7 +878,7 @@ def _stale_t_next(g):
     g.t_next += g.tol_time
 
 
-_HANDLE_RULE = "a member handle is neither an int in range nor a tuple of ascending ints"
+_HANDLE_RULE = "a member handle is not a tuple of ascending ints"
 
 
 class TestKernelContract:
@@ -910,6 +914,7 @@ class TestKernelContract:
             pytest.param(_volley_overdue, "a volley is due outside", id="volley-time"),
             pytest.param(_list_members, _HANDLE_RULE, id="members"),
             pytest.param(_descending_members, _HANDLE_RULE, id="members-descending"),
+            pytest.param(_int_members, _HANDLE_RULE, id="members-int"),
             pytest.param(
                 _array_sources, "volley sources are not all tuples of ascending ints",
                 id="volley-sources",
@@ -982,6 +987,27 @@ def test_move_swaps_groups_into_the_inserted_order(case):
     g.check()
 
 
+@st.composite
+def tied_phases(draw):
+    """2 to 200 phases drawn from at most four values in (0, 1], so that
+    most of them tie."""
+    values = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4, unique=True))
+    return draw(st.lists(st.sampled_from(values), min_size=2, max_size=200))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(tied_phases())
+def test_initial_members_are_each_phase_in_index_order(phases):
+    net = pc.NetworkState(make_params(n=len(phases)), phases)
+    g = net._groups
+    reference: dict[float, list[int]] = {}
+    for i, p in enumerate(phases):
+        reference.setdefault(p, []).append(i)
+    assert list(g.members) == [tuple(reference[p]) for p in sorted(reference)]
+    assert list(g.w) == sorted(reference)
+    g.check()
+
+
 # (params, initial phases, injected pulses, horizon): runs that between them
 # take every branch step_once leaves to a helper.  The four event-stream
 # configs never deliver several volleys at one instant or split a group.
@@ -1012,7 +1038,7 @@ def test_out_of_line_branches_match_the_reference(monkeypatch):
     def before_step(g):
         """The volleys due at the next event and each oscillator's group."""
         due = sum(v[0] <= g.t_next + g.tol_time for v in g.pending)
-        owner = {i: k for k, m in enumerate(g._runs()) for i in m}
+        owner = {i: k for k, m in enumerate(g.members) for i in m}
         return due, owner
 
     uncoupled_arrivals = volleys_at_once = groups_at_once = 0
